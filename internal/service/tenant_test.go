@@ -65,6 +65,29 @@ func retryAfterHeader(t *testing.T, resp *http.Response) time.Duration {
 	return time.Duration(secs) * time.Second
 }
 
+// manualClock is a time source the test moves by hand. The tenant token
+// buckets read it, and the client's retry policy sleeps on it, so a bucket
+// refills only while the client backs off — never while a slow setup step
+// (an upload under -race, say) happens to take longer than the refill.
+type manualClock struct {
+	mu sync.Mutex
+	t  time.Time
+}
+
+func newManualClock() *manualClock { return &manualClock{t: time.Unix(1700000000, 0)} }
+
+func (c *manualClock) now() time.Time {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.t
+}
+
+func (c *manualClock) sleep(d time.Duration) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.t = c.t.Add(d)
+}
+
 // TestTenantThrottledSubmitBacksOff: with tenant "hog" limited to a burst
 // of one submission, its second upload is throttled with a Retry-After
 // hint; retried with the client's policy it backs off at least that long
@@ -81,6 +104,8 @@ func TestTenantThrottledSubmitBacksOff(t *testing.T) {
 			"hog": {Rate: 2, Burst: 1},
 		},
 	})
+	clk := newManualClock()
+	s.Tenants().SetClock(clk.now)
 	s.Start()
 	defer shutdownOrFail(t, s)
 	srv := httptest.NewServer(s.Handler())
@@ -101,12 +126,13 @@ func TestTenantThrottledSubmitBacksOff(t *testing.T) {
 	hint := retryAfterHeader(t, resp)
 	drainBody(resp)
 
-	// Retry exactly the way `arbalest -submit` classifies responses. The
-	// first attempt is throttled again, so success requires honoring the
-	// server's hint.
-	start := time.Now()
+	// Retry exactly the way `arbalest -submit` classifies responses. No
+	// time has passed for the bucket, so the first attempt is throttled
+	// again, and success requires honoring the server's hint.
+	start := clk.now()
 	var attempts, throttled int
-	err := retry.Policy{BaseDelay: time.Millisecond, MaxDelay: 10 * time.Millisecond}.Do(
+	policy := retry.Policy{BaseDelay: time.Millisecond, MaxDelay: 10 * time.Millisecond, Sleep: clk.sleep, Now: clk.now}
+	err := policy.Do(
 		context.Background(), func(attempt int) error {
 			attempts++
 			resp := postTraceAs(t, srv.URL, "arbalest", tr, "hog")
@@ -123,7 +149,7 @@ func TestTenantThrottledSubmitBacksOff(t *testing.T) {
 	if err != nil {
 		t.Fatalf("hog retry loop: %v", err)
 	}
-	elapsed := time.Since(start)
+	elapsed := clk.now().Sub(start)
 	if throttled == 0 {
 		t.Fatal("hog retry loop was never throttled; the backoff path went unexercised")
 	}
@@ -157,6 +183,8 @@ func TestTenantThrottledStreamOpenBacksOff(t *testing.T) {
 			"hog": {Rate: 2, Burst: 1},
 		},
 	})
+	clk := newManualClock()
+	s.Tenants().SetClock(clk.now)
 	s.Start()
 	defer shutdownOrFail(t, s)
 	srv := httptest.NewServer(s.Handler())
@@ -194,9 +222,10 @@ func TestTenantThrottledStreamOpenBacksOff(t *testing.T) {
 	hint := retryAfterHeader(t, resp)
 	drainBody(resp)
 
-	start := time.Now()
+	start := clk.now()
 	var throttled int
-	err := retry.Policy{BaseDelay: time.Millisecond, MaxDelay: 10 * time.Millisecond}.Do(
+	policy := retry.Policy{BaseDelay: time.Millisecond, MaxDelay: 10 * time.Millisecond, Sleep: clk.sleep, Now: clk.now}
+	err := policy.Do(
 		context.Background(), func(attempt int) error {
 			resp := open("hog")
 			defer drainBody(resp)
@@ -215,7 +244,7 @@ func TestTenantThrottledStreamOpenBacksOff(t *testing.T) {
 	if throttled == 0 {
 		t.Fatal("hog stream-open retry loop was never throttled")
 	}
-	if elapsed := time.Since(start); elapsed < hint-100*time.Millisecond {
+	if elapsed := clk.now().Sub(start); elapsed < hint-100*time.Millisecond {
 		t.Fatalf("hog stream open succeeded after %v; Retry-After %v was not honored", elapsed, hint)
 	}
 

@@ -15,16 +15,17 @@
 //	header   "ARBT" | version (1 byte) | 3 reserved zero bytes
 //	frame*   u32 LE payload length | u32 LE crc32c(payload) | payload
 //
-// where each payload is the JSON encoding of one Event. Readers never need
-// to choose a format: Stream sniffs the magic and dispatches, so every
-// existing Load/Replay path accepts both encodings transparently.
+// where each payload is the JSON encoding of one Event (see codec.go).
+// Readers never need to choose a format: Stream sniffs the magic and
+// dispatches, so every existing Load/Replay path accepts both encodings
+// transparently.
 package trace
 
 import (
 	"bufio"
 	"bytes"
 	"encoding/binary"
-	"encoding/json"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
@@ -77,29 +78,27 @@ func (e *CorruptionError) Unwrap() error { return e.Err }
 // Save for spool files and any trace that crosses an unreliable medium: a
 // reader can detect — and localize — any later corruption.
 func (t *Trace) SaveFramed(w io.Writer) error {
-	bw := bufio.NewWriter(w)
-	hdr := make([]byte, len(traceMagic)+4)
-	copy(hdr, traceMagic)
-	hdr[4] = traceVersion
-	if _, err := bw.Write(hdr); err != nil {
-		return err
+	return t.write(w, StreamHeader(), appendFrame)
+}
+
+// appendFrame appends e's frame (length, CRC32C, JSON payload) to dst.
+func appendFrame(dst []byte, e *Event) []byte {
+	start := len(dst)
+	dst = appendEvent(append(dst, make([]byte, frameHeaderSize)...), e)
+	payload := dst[start+frameHeaderSize:]
+	binary.LittleEndian.PutUint32(dst[start:], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(dst[start+4:], crc32.Checksum(payload, castagnoli))
+	return dst
+}
+
+// payloadError reports a frame whose CRC-valid payload decodeEvent refused:
+// malformed JSON, or a well-formed event that fails validation.
+func payloadError(off int64, err error) *CorruptionError {
+	var de *decodeError
+	if errors.As(err, &de) {
+		return &CorruptionError{Offset: off, Reason: "frame payload is not a valid event", Err: err}
 	}
-	var prefix [frameHeaderSize]byte
-	for i := range t.Events {
-		payload, err := json.Marshal(&t.Events[i])
-		if err != nil {
-			return err
-		}
-		binary.LittleEndian.PutUint32(prefix[0:4], uint32(len(payload)))
-		binary.LittleEndian.PutUint32(prefix[4:8], crc32.Checksum(payload, castagnoli))
-		if _, err := bw.Write(prefix[:]); err != nil {
-			return err
-		}
-		if _, err := bw.Write(payload); err != nil {
-			return err
-		}
-	}
-	return bw.Flush()
+	return &CorruptionError{Offset: off, Reason: "frame payload fails event validation", Err: err}
 }
 
 // decodeFramed decodes a framed trace from br, whose next bytes must be the
@@ -131,6 +130,10 @@ func decodeFramed(br *bufio.Reader, lim Limits, emit func(batch []Event) error) 
 		batch = make([]Event, 0, streamBatchSize)
 		return emit(out)
 	}
+	// The payload buffer is reused across frames: decodeEvent copies every
+	// string it keeps out of it.
+	var buf []byte
+	in := newInterner()
 	var prefix [frameHeaderSize]byte
 	for {
 		n, err := io.ReadFull(br, prefix[:])
@@ -152,21 +155,20 @@ func decodeFramed(br *bufio.Reader, lim Limits, emit func(batch []Event) error) 
 		if lim.MaxEvents > 0 && count >= lim.MaxEvents {
 			return fmt.Errorf("%w: more than %d events (byte %d)", ErrTooManyEvents, lim.MaxEvents, off)
 		}
-		payload := make([]byte, length)
+		if cap(buf) < int(length) {
+			buf = make([]byte, length)
+		}
+		payload := buf[:length]
 		if n, err := io.ReadFull(br, payload); err != nil {
 			return &CorruptionError{Offset: off, Reason: fmt.Sprintf("torn frame payload (%d of %d bytes)", n, length), Err: err}
 		}
 		if got := crc32.Checksum(payload, castagnoli); got != sum {
 			return &CorruptionError{Offset: off, Reason: fmt.Sprintf("checksum mismatch: frame says %#08x, payload is %#08x", sum, got)}
 		}
-		var e Event
-		if jerr := json.Unmarshal(payload, &e); jerr != nil {
-			return &CorruptionError{Offset: off, Reason: "frame payload is not a valid event", Err: jerr}
+		batch = append(batch, Event{})
+		if err := decodeEvent(payload, &batch[len(batch)-1], in); err != nil {
+			return payloadError(off, err)
 		}
-		if verr := e.validate(); verr != nil {
-			return &CorruptionError{Offset: off, Reason: "frame payload fails event validation", Err: verr}
-		}
-		batch = append(batch, e)
 		count++
 		off += frameHeaderSize + int64(length)
 		if len(batch) == streamBatchSize {

@@ -2,6 +2,7 @@ package trace_test
 
 import (
 	"bytes"
+	"reflect"
 	"testing"
 
 	"repro/internal/mem"
@@ -21,7 +22,7 @@ func fuzzSeedTrace() *trace.Trace {
 
 // FuzzDecodeTrace throws arbitrary bytes at the auto-detecting trace decoder.
 // The decoder must never panic, and any input it accepts must survive a
-// framed re-encode/re-decode round trip with the same event count.
+// framed re-encode/re-decode round trip unchanged: deeply equal events.
 func FuzzDecodeTrace(f *testing.F) {
 	tr := fuzzSeedTrace()
 	var framed, lines bytes.Buffer
@@ -57,6 +58,11 @@ func FuzzDecodeTrace(f *testing.F) {
 		}
 		if len(again.Events) != len(got.Events) {
 			t.Fatalf("round trip changed event count: %d -> %d", len(got.Events), len(again.Events))
+		}
+		for i := range got.Events {
+			if !reflect.DeepEqual(again.Events[i], got.Events[i]) {
+				t.Fatalf("round trip changed event %d:\n%+v\n%+v", i, got.Events[i], again.Events[i])
+			}
 		}
 	})
 }

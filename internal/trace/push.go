@@ -18,7 +18,6 @@ package trace
 import (
 	"bytes"
 	"encoding/binary"
-	"encoding/json"
 	"fmt"
 	"hash/crc32"
 
@@ -43,12 +42,14 @@ type PushDecoder struct {
 	events int
 	// failed, once set, is returned by every later Push and Finish.
 	failed error
+	// in interns the strings of every event this decoder yields.
+	in *interner
 }
 
 // NewPushDecoder returns a decoder enforcing lim (zero = unlimited) with the
 // same sentinel errors as Stream.
 func NewPushDecoder(lim Limits) *PushDecoder {
-	return &PushDecoder{lim: lim}
+	return &PushDecoder{lim: lim, in: newInterner()}
 }
 
 // Offset returns the absolute offset of the first byte not yet consumed by a
@@ -80,53 +81,49 @@ func (d *PushDecoder) Push(chunk []byte, emit func(e *Event) error) error {
 	if d.failed != nil {
 		return d.failed
 	}
-	if len(d.buf) == 0 {
-		d.buf = append(d.buf[:0], chunk...)
-	} else {
+	// Decode straight out of the caller's chunk unless a partial frame is
+	// already buffered.
+	data := chunk
+	if len(d.buf) > 0 {
 		d.buf = append(d.buf, chunk...)
+		data = d.buf
 	}
-	if !d.headerDone {
+	if !d.headerDone && len(data) >= len(traceMagic)+4 {
 		hdrLen := len(traceMagic) + 4
-		if len(d.buf) < hdrLen {
-			return nil
+		if !bytes.Equal(data[:len(traceMagic)], traceMagic) {
+			return d.fail(&CorruptionError{Offset: d.off, Reason: fmt.Sprintf("bad magic %q", data[:len(traceMagic)])})
 		}
-		if !bytes.Equal(d.buf[:len(traceMagic)], traceMagic) {
-			return d.fail(&CorruptionError{Offset: d.off, Reason: fmt.Sprintf("bad magic %q", d.buf[:len(traceMagic)])})
-		}
-		if v := d.buf[len(traceMagic)]; v != traceVersion {
+		if v := data[len(traceMagic)]; v != traceVersion {
 			return d.fail(&CorruptionError{Offset: d.off, Reason: fmt.Sprintf("unsupported version %d (have %d)", v, traceVersion)})
 		}
-		d.buf = d.buf[hdrLen:]
+		data = data[hdrLen:]
 		d.off += int64(hdrLen)
 		d.headerDone = true
 	}
-	for len(d.buf) >= frameHeaderSize {
-		length := binary.LittleEndian.Uint32(d.buf[0:4])
-		sum := binary.LittleEndian.Uint32(d.buf[4:8])
+	for d.headerDone && len(data) >= frameHeaderSize {
+		length := binary.LittleEndian.Uint32(data[0:4])
+		sum := binary.LittleEndian.Uint32(data[4:8])
 		if length > MaxFramePayload {
 			return d.fail(&CorruptionError{Offset: d.off, Reason: fmt.Sprintf("frame length %d exceeds limit %d", length, MaxFramePayload)})
 		}
 		if d.lim.MaxBytes > 0 && d.off+frameHeaderSize+int64(length) > d.lim.MaxBytes {
 			return d.fail(fmt.Errorf("%w: more than %d bytes", ErrTooManyBytes, d.lim.MaxBytes))
 		}
-		if len(d.buf) < frameHeaderSize+int(length) {
+		if len(data) < frameHeaderSize+int(length) {
 			break // frame not complete yet; wait for the next chunk
 		}
 		if d.lim.MaxEvents > 0 && d.events >= d.lim.MaxEvents {
 			return d.fail(fmt.Errorf("%w: more than %d events (byte %d)", ErrTooManyEvents, d.lim.MaxEvents, d.off))
 		}
-		payload := d.buf[frameHeaderSize : frameHeaderSize+int(length)]
+		payload := data[frameHeaderSize : frameHeaderSize+int(length)]
 		if got := crc32.Checksum(payload, castagnoli); got != sum {
 			return d.fail(&CorruptionError{Offset: d.off, Reason: fmt.Sprintf("checksum mismatch: frame says %#08x, payload is %#08x", sum, got)})
 		}
 		e := new(Event)
-		if jerr := json.Unmarshal(payload, e); jerr != nil {
-			return d.fail(&CorruptionError{Offset: d.off, Reason: "frame payload is not a valid event", Err: jerr})
+		if err := decodeEvent(payload, e, d.in); err != nil {
+			return d.fail(payloadError(d.off, err))
 		}
-		if verr := e.validate(); verr != nil {
-			return d.fail(&CorruptionError{Offset: d.off, Reason: "frame payload fails event validation", Err: verr})
-		}
-		d.buf = d.buf[frameHeaderSize+int(length):]
+		data = data[frameHeaderSize+int(length):]
 		d.off += frameHeaderSize + int64(length)
 		d.events++
 		if err := emit(e); err != nil {
@@ -134,10 +131,10 @@ func (d *PushDecoder) Push(chunk []byte, emit func(e *Event) error) error {
 			return err
 		}
 	}
-	// Compact: the consumed prefix above still pins the backing array, and a
-	// mid-frame tail must not alias bytes from the caller's chunk.
-	if len(d.buf) > 0 {
-		d.buf = append(make([]byte, 0, len(d.buf)), d.buf...)
+	// Keep the unconsumed tail in a buffer of its own: it must not alias the
+	// caller's chunk, and the consumed prefix must not stay pinned.
+	if len(data) > 0 {
+		d.buf = append(make([]byte, 0, len(data)), data...)
 	} else {
 		d.buf = nil
 	}
@@ -173,16 +170,9 @@ func StreamHeader() []byte {
 // AppendEventFrame appends e's CRC32C frame (length, checksum, JSON payload)
 // to dst and returns the extended slice — the append-style counterpart of
 // SaveFramed's per-event encoding, for spools built one event at a time.
+// The error is always nil: every Event encodes.
 func AppendEventFrame(dst []byte, e *Event) ([]byte, error) {
-	payload, err := json.Marshal(e)
-	if err != nil {
-		return dst, err
-	}
-	var prefix [frameHeaderSize]byte
-	binary.LittleEndian.PutUint32(prefix[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(prefix[4:8], crc32.Checksum(payload, castagnoli))
-	dst = append(dst, prefix[:]...)
-	return append(dst, payload...), nil
+	return appendFrame(dst, e), nil
 }
 
 // Dispatch sends the event through the dispatcher exactly as a batch replay

@@ -6,7 +6,6 @@ import (
 	"bufio"
 	"bytes"
 	"context"
-	"encoding/json"
 	"fmt"
 	"io"
 
@@ -53,6 +52,7 @@ func Stream(r io.Reader, lim Limits, emit func(batch []Event) error) error {
 func streamJSONLines(br *bufio.Reader, lim Limits, emit func(batch []Event) error) error {
 	var read int64
 	count := 0
+	in := newInterner()
 	batch := make([]Event, 0, streamBatchSize)
 	flush := func() error {
 		if len(batch) == 0 {
@@ -62,9 +62,21 @@ func streamJSONLines(br *bufio.Reader, lim Limits, emit func(batch []Event) erro
 		batch = make([]Event, 0, streamBatchSize)
 		return emit(out)
 	}
+	var long []byte // a line longer than br's buffer, reassembled
 	for line := 1; ; line++ {
-		raw, err := br.ReadBytes('\n')
+		// The line is decoded in place: decodeEvent copies out every string
+		// it keeps, so br may reuse its buffer on the next read.
+		raw, err := br.ReadSlice('\n')
 		read += int64(len(raw))
+		if err == bufio.ErrBufferFull {
+			long = append(long[:0], raw...)
+			for err == bufio.ErrBufferFull && (lim.MaxBytes <= 0 || read <= lim.MaxBytes) {
+				raw, err = br.ReadSlice('\n')
+				read += int64(len(raw))
+				long = append(long, raw...)
+			}
+			raw = long
+		}
 		if lim.MaxBytes > 0 && read > lim.MaxBytes {
 			return fmt.Errorf("%w: more than %d bytes", ErrTooManyBytes, lim.MaxBytes)
 		}
@@ -72,14 +84,10 @@ func streamJSONLines(br *bufio.Reader, lim Limits, emit func(batch []Event) erro
 			if lim.MaxEvents > 0 && count >= lim.MaxEvents {
 				return fmt.Errorf("%w: more than %d events (line %d)", ErrTooManyEvents, lim.MaxEvents, line)
 			}
-			var e Event
-			if jerr := json.Unmarshal(trimmed, &e); jerr != nil {
-				return fmt.Errorf("trace: line %d: %w", line, jerr)
+			batch = append(batch, Event{})
+			if derr := decodeEvent(trimmed, &batch[len(batch)-1], in); derr != nil {
+				return fmt.Errorf("trace: line %d: %w", line, derr)
 			}
-			if verr := e.validate(); verr != nil {
-				return fmt.Errorf("trace: line %d: %w", line, verr)
-			}
-			batch = append(batch, e)
 			count++
 			if len(batch) == streamBatchSize {
 				if ferr := flush(); ferr != nil {
@@ -96,11 +104,11 @@ func streamJSONLines(br *bufio.Reader, lim Limits, emit func(batch []Event) erro
 	}
 }
 
-// ReplayStream decodes the JSON-lines trace from r in a producer goroutine
-// and replays it into the given tools as batches arrive, so parse and
-// analysis overlap. workers selects the analysis fan-out exactly as in
-// ReplayParallel (1 = sequential dispatch, 0 = GOMAXPROCS); events are
-// validated once at decode time.
+// ReplayStream decodes the trace from r — either encoding, sniffed as in
+// Stream — in a producer goroutine and replays it into the given tools as
+// batches arrive, so parse and analysis overlap. workers selects the
+// analysis fan-out exactly as in ReplayParallel (1 = sequential dispatch,
+// 0 = GOMAXPROCS); events are validated once at decode time.
 func ReplayStream(ctx context.Context, r io.Reader, lim Limits, workers int, toolList ...ompt.Tool) (ReplayStats, error) {
 	workers = EffectiveWorkers(workers, toolList...)
 	var d ompt.Dispatcher

@@ -13,7 +13,6 @@ package trace
 import (
 	"bufio"
 	"context"
-	"encoding/json"
 	"fmt"
 	"io"
 	"sync"
@@ -315,12 +314,26 @@ func (e *Event) validate() error {
 	return nil
 }
 
-// Save writes the trace as JSON lines.
+// Save writes the trace as JSON lines: each event as json.Encoder would
+// write it (see appendEvent), newline-terminated.
 func (t *Trace) Save(w io.Writer) error {
+	return t.write(w, nil, func(dst []byte, e *Event) []byte {
+		return append(appendEvent(dst, e), '\n')
+	})
+}
+
+// write writes head, then every event as appendOne encodes it, through a
+// bufio.Writer: w sees the same sequence of Write calls as it did when
+// encoding/json wrote the events, so a caller's buffer grows the same way.
+func (t *Trace) write(w io.Writer, head []byte, appendOne func(dst []byte, e *Event) []byte) error {
 	bw := bufio.NewWriter(w)
-	enc := json.NewEncoder(bw)
+	if _, err := bw.Write(head); err != nil {
+		return err
+	}
+	var buf []byte
 	for i := range t.Events {
-		if err := enc.Encode(&t.Events[i]); err != nil {
+		buf = appendOne(buf[:0], &t.Events[i])
+		if _, err := bw.Write(buf); err != nil {
 			return err
 		}
 	}
