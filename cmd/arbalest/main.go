@@ -5,7 +5,7 @@
 // Usage:
 //
 //	arbalest [-tool arbalest] [-list] <program>
-//	arbalest -replay-trace FILE [-workers N] [-tool arbalest] [-json]
+//	arbalest -replay-trace FILE [-tool arbalest] [-json]
 //	arbalest -submit URL <program>     record, upload, poll a batch job
 //	arbalest -stream URL <program>     record and stream live to a session
 //	arbalest -fleet-status URL         print the daemon's federated fleet
@@ -61,7 +61,6 @@ func main() {
 	saveTrace := flag.String("save-trace", "", "record the execution's tool-interface events to this JSON-lines file")
 	framed := flag.Bool("framed", false, "write -save-trace in the CRC32C-framed binary format (corruption-detecting; replay and submit auto-detect either format)")
 	replayTrace := flag.String("replay-trace", "", "skip execution: replay a recorded trace file into the chosen tool")
-	replayWorkers := flag.Int("workers", 1, "parallel-analysis shard count for -replay-trace (1 = sequential, 0 = GOMAXPROCS); findings are identical at any setting")
 	jsonOut := flag.Bool("json", false, "emit the result as JSON (the same summary schema arbalestd serves)")
 	submit := flag.String("submit", "", "arbalestd base URL (e.g. http://localhost:8321): record the program's trace and submit it for remote analysis instead of analyzing locally")
 	streamURL := flag.String("stream", "", "arbalestd base URL: stream the program's trace live to an analysis session as framed chunks (resumable; see internal/stream)")
@@ -91,7 +90,7 @@ func main() {
 		if *streamURL != "" {
 			os.Exit(streamTraceFile(*streamURL, *replayTrace, *tool, *jsonOut))
 		}
-		os.Exit(runReplay(*replayTrace, *tool, *replayWorkers, *jsonOut))
+		os.Exit(runReplay(*replayTrace, *tool, *jsonOut))
 	}
 	if flag.NArg() != 1 {
 		fmt.Fprintln(os.Stderr, "usage: arbalest [-tool name] [-theorem1] [-submit url] <program>   (see -list)")
@@ -211,9 +210,8 @@ func writeTrace(path string, rec *trace.Recorder, framed bool) error {
 }
 
 // runReplay streams a trace file into the chosen tool: decode and analysis
-// run pipelined, and with workers > 1 the access analysis is epoch-sharded
-// across that many goroutines (identical findings, shorter wall clock).
-func runReplay(path, toolName string, workers int, jsonOut bool) int {
+// run pipelined.
+func runReplay(path, toolName string, jsonOut bool) int {
 	f, err := os.Open(path)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "arbalest:", err)
@@ -225,7 +223,7 @@ func runReplay(path, toolName string, workers int, jsonOut bool) int {
 		fmt.Fprintln(os.Stderr, "arbalest:", err)
 		return 2
 	}
-	stats, err := trace.ReplayStream(context.Background(), f, trace.Limits{}, workers, a)
+	stats, err := trace.ReplayStream(context.Background(), f, trace.Limits{}, a)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "arbalest:", err)
 		return 2
@@ -239,8 +237,8 @@ func runReplay(path, toolName string, workers int, jsonOut bool) int {
 		return 0
 	}
 	reports := a.Sink().Reports()
-	fmt.Printf("replayed %d events from %s under %s (%d shard(s), %d epoch(s))\n",
-		stats.Events, path, a.Name(), stats.Workers, stats.Epochs)
+	fmt.Printf("replayed %d events from %s under %s (%d epoch(s))\n",
+		stats.Events, path, a.Name(), stats.Epochs)
 	for _, r := range reports {
 		fmt.Println(r)
 	}

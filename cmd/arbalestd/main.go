@@ -4,7 +4,7 @@
 //
 // Usage:
 //
-//	arbalestd [-addr :8321] [-workers N] [-replay-workers N] [-queue N]
+//	arbalestd [-addr :8321] [-workers N] [-queue N]
 //	          [-max-events N] [-max-body BYTES] [-timeout DUR] [-spool DIR]
 //	          [-retain-jobs N] [-retain-age DUR] [-checkpoint-every N]
 //	          [-job-stall-timeout DUR] [-debug-addr ADDR]
@@ -18,9 +18,8 @@
 //	          [-shed-target DUR] [-shed-interval DUR] [-gc-interval DUR]
 //	          [-breaker-threshold N] [-breaker-cooldown DUR]
 //
-// -workers sizes the job pool (how many traces analyze concurrently);
-// -replay-workers sets the per-job analysis fan-out (epoch-sharded parallel
-// replay, 1 = sequential). Findings are identical either way.
+// -workers sizes the job pool (how many traces analyze concurrently); each
+// job replays on one goroutine, so the pool is where parallelism lives.
 //
 // # Distributed operation
 //
@@ -176,7 +175,6 @@ func parseDefaultLimits(v string) (tenant.Limits, error) {
 func main() {
 	addr := flag.String("addr", ":8321", "listen address")
 	workers := flag.Int("workers", 0, "replay worker pool size (0 = GOMAXPROCS)")
-	replayWorkers := flag.Int("replay-workers", 1, "per-job parallel-analysis shard count (1 = sequential, 0 = GOMAXPROCS)")
 	queue := flag.Int("queue", 64, "bounded job-queue size; full queue returns 429")
 	maxEvents := flag.Int("max-events", 1<<20, "per-job trace event limit")
 	maxBody := flag.Int64("max-body", 64<<20, "per-upload body size limit in bytes")
@@ -224,20 +222,13 @@ func main() {
 		os.Exit(1)
 	}
 
-	// The flag exposes 0 as "GOMAXPROCS"; in Config that spelling is
-	// negative (0 keeps the historical sequential default).
-	rw := *replayWorkers
-	if rw == 0 {
-		rw = -1
-	}
-
 	switch *role {
 	case "standalone", "coordinator":
 	case "worker":
 		if *coordinatorURL == "" {
 			fatal("-role worker requires -coordinator-url")
 		}
-		runWorker(logger, *coordinatorURL, *workerID, *pollWait, rw, *checkpointEvery, *breakerThreshold, *breakerCooldown)
+		runWorker(logger, *coordinatorURL, *workerID, *pollWait, *checkpointEvery, *breakerThreshold, *breakerCooldown)
 		return
 	default:
 		fatal("unknown -role (want standalone, coordinator, or worker)", "role", *role)
@@ -254,7 +245,6 @@ func main() {
 
 	cfg := service.Config{
 		Workers:         *workers,
-		ReplayWorkers:   rw,
 		QueueSize:       *queue,
 		MaxEvents:       *maxEvents,
 		MaxBodyBytes:    *maxBody,
@@ -378,7 +368,7 @@ func main() {
 
 // runWorker runs the fleet analysis agent until SIGINT/SIGTERM (or until a
 // fault-injected crash kills it, in chaos tests).
-func runWorker(logger *slog.Logger, coordinatorURL, id string, pollWait time.Duration, replayWorkers int, checkpointEvery uint64, breakerThreshold int, breakerCooldown time.Duration) {
+func runWorker(logger *slog.Logger, coordinatorURL, id string, pollWait time.Duration, checkpointEvery uint64, breakerThreshold int, breakerCooldown time.Duration) {
 	if id == "" {
 		host, err := os.Hostname()
 		if err != nil {
@@ -390,7 +380,6 @@ func runWorker(logger *slog.Logger, coordinatorURL, id string, pollWait time.Dur
 		ID:               id,
 		CoordinatorURL:   coordinatorURL,
 		PollWait:         pollWait,
-		ReplayWorkers:    replayWorkers,
 		CheckpointEvery:  checkpointEvery,
 		BreakerThreshold: breakerThreshold,
 		BreakerCooldown:  breakerCooldown,

@@ -7,10 +7,9 @@
 // only while the worker heartbeats; when heartbeats stop, the coordinator
 // expires the lease and reschedules the job onto the next worker, which
 // resumes from the freshest epoch-barrier checkpoint the dead worker
-// streamed back. Because checkpoints are taken at drained epoch barriers
+// streamed back. Because checkpoints are taken at epoch barriers
 // (trace.ReplayDurable), a resumed replay produces findings byte-identical
-// to an uninterrupted single-process run at any fan-out — the Theorem 1
-// commutativity argument is per-epoch, so a handoff at an epoch boundary
+// to an uninterrupted single-process run — a handoff at an epoch boundary
 // changes which machine applies each epoch but not the analysis (DESIGN.md
 // §5.8).
 //

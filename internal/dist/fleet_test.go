@@ -245,7 +245,6 @@ func startWorkers(ctx context.Context, url string, n int, checkpointEvery uint64
 					ID:              fmt.Sprintf("w%d-g%d", i, gen),
 					CoordinatorURL:  url,
 					PollWait:        50 * time.Millisecond,
-					ReplayWorkers:   2,
 					CheckpointEvery: checkpointEvery,
 					Retry:           testRetry(),
 					Logger:          debugLogger(),

@@ -14,11 +14,6 @@ const (
 	// goroutines with no per-word ownership. Tools must use their fully
 	// synchronized (CAS/locked) paths.
 	DispatchShared DispatchMode = iota
-	// DispatchEpochSharded: epoch-parallel replay. Within an epoch each
-	// worker owns its shard's words exclusively; the epoch barrier is the
-	// publication fence. Tools may drop per-word CAS but must keep any
-	// cross-shard structures synchronized.
-	DispatchEpochSharded
 	// DispatchSequential: a single goroutine delivers every callback.
 	// Tools may drop all synchronization and enable single-threaded
 	// accelerator structures (tag planes, lookup memos).

@@ -219,7 +219,7 @@ type accessRecord struct {
 // read that superseded it, so no race is lost), and the backing array is
 // reused across the write that clears the set. That keeps the per-access
 // hot path free of map assignments and map churn — allocation pressure
-// here is what bounds parallel replay scaling.
+// here is what bounds replay throughput.
 type cell struct {
 	write accessRecord
 	// read0 inlines the first entry of the concurrent read set (task 0 =
@@ -360,9 +360,8 @@ func New(sink *report.Sink) *Detector {
 func (d *Detector) Name() string { return "Archer" }
 
 // SetDispatchMode implements ompt.ModalTool. Only DispatchSequential
-// relaxes locking: epoch-sharded replay shards accesses by the VSM's
-// canonical-word hash, which does not coincide with this detector's
-// shard function, so concurrent workers may still collide on a shard.
+// relaxes locking: under shared dispatch callbacks may arrive from several
+// goroutines at once and collide on a shard.
 func (d *Detector) SetDispatchMode(m ompt.DispatchMode) {
 	d.seqMode = m == ompt.DispatchSequential
 	d.memoTC = nil
@@ -659,7 +658,7 @@ func (d *Detector) OnDataOp(e ompt.DataOpEvent) {
 func (d *Detector) OnAccessBatch(b *ompt.AccessBatch) {
 	n := b.Len()
 	if !d.seqMode {
-		// Concurrent shards each get a batch-local memo; the detector-level
+		// Concurrent batches each get a batch-local memo; the detector-level
 		// one is reserved for the single-goroutine sequential path.
 		var sm siteMemo
 		for i := 0; i < n; i++ {

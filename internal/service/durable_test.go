@@ -104,7 +104,7 @@ func TestCrashAfterCheckpointResumes(t *testing.T) {
 // TestWatchdogRetriesStalledReplay wedges the first replay attempt (a
 // checkpoint write that hangs well past the stall timeout) and requires the
 // watchdog to detect the flat heartbeat, cancel the attempt, and finish the
-// job on the sequential retry with correct findings.
+// job on the retry with correct findings.
 func TestWatchdogRetriesStalledReplay(t *testing.T) {
 	faultinject.Reset()
 	defer faultinject.Reset()

@@ -49,6 +49,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/faultinject"
@@ -78,12 +79,6 @@ type Config struct {
 	// Workers is the replay worker-pool size — how many jobs analyze
 	// concurrently (default GOMAXPROCS).
 	Workers int
-	// ReplayWorkers is the per-job analysis fan-out: each replay shards
-	// its access events across this many goroutines (epoch-sharded, see
-	// trace.ReplayParallel). 0 defaults to 1 (sequential dispatch, the
-	// historical behavior); negative means GOMAXPROCS. Findings are
-	// identical to sequential replay regardless of the setting.
-	ReplayWorkers int
 	// QueueSize bounds the number of queued-but-not-running jobs
 	// (default 64). A full queue rejects submissions rather than blocking.
 	QueueSize int
@@ -96,16 +91,19 @@ type Config struct {
 	ReplayTimeout time.Duration
 	// CheckpointEvery, when positive and a Journal is configured, asks
 	// each replay to checkpoint the analyzer's state roughly every this
-	// many events (taken at the next epoch boundary, where the analysis
-	// pool is drained). After a crash, Recover resumes such jobs from
+	// many events (taken at the next epoch boundary). After a crash, Recover resumes such jobs from
 	// their freshest checkpoint instead of replaying from scratch. Only
 	// analyzers implementing tools.Checkpointer participate; the rest
 	// re-run from the start as before. 0 disables checkpointing.
 	CheckpointEvery uint64
 	// StallTimeout, when positive, arms a per-job watchdog: a replay
 	// whose progress heartbeats stop advancing for this long is canceled
-	// and retried once sequentially from its freshest checkpoint; if the
-	// retry stalls too, the job fails. 0 disables the watchdog.
+	// and retried once from its freshest checkpoint; if the
+	// retry stalls too, the job fails. Time spent serializing a
+	// checkpoint counts as progress: its cost grows with the analysis
+	// state, not with a wedge, so a serializer that hangs goes
+	// undetected. The checkpoint write that follows is watched. 0
+	// disables the watchdog.
 	StallTimeout time.Duration
 	// Journal, when non-nil, write-ahead journals every accepted job to
 	// its spool directory and makes Recover possible. Nil keeps jobs
@@ -188,9 +186,6 @@ type Config struct {
 func (c Config) withDefaults() Config {
 	if c.Workers <= 0 {
 		c.Workers = runtime.GOMAXPROCS(0)
-	}
-	if c.ReplayWorkers == 0 {
-		c.ReplayWorkers = 1
 	}
 	if c.QueueSize <= 0 {
 		c.QueueSize = 64
@@ -927,8 +922,8 @@ func (s *Service) mark(j *job, status, errMsg string, result json.RawMessage) {
 }
 
 // errStalled marks a replay whose progress heartbeats stopped advancing for
-// longer than Config.StallTimeout. runJob retries such a job once,
-// sequentially, from its freshest checkpoint.
+// longer than Config.StallTimeout. runJob retries such a job once, from its
+// freshest checkpoint.
 var errStalled = errors.New("service: replay stalled: no progress within the stall timeout")
 
 // runJob replays one job's trace through a fresh analyzer and records the
@@ -937,7 +932,7 @@ var errStalled = errors.New("service: replay stalled: no progress within the sta
 // a stack fragment, and the worker goes on to its next job. A job carrying
 // a checkpoint (from a previous life of the daemon) resumes from it; with
 // Config.StallTimeout set, a watchdog cancels replays whose heartbeats stop
-// and retries them once sequentially.
+// and retries them once.
 func (s *Service) runJob(j *job) {
 	s.mu.Lock()
 	j.status = StatusRunning
@@ -965,7 +960,7 @@ func (s *Service) runJob(j *job) {
 		summary     *tools.Summary
 		rstats      trace.ReplayStats
 	)
-	attempt := func(workers int, ck *trace.Checkpoint) (err error) {
+	attempt := func(ck *trace.Checkpoint) (err error) {
 		// Each attempt gets its own replay span, closed in the deferred
 		// epilogue below no matter how the attempt ends — success, failure,
 		// watchdog cancellation, or panic. A job retried after a stall thus
@@ -994,7 +989,6 @@ func (s *Service) runJob(j *job) {
 			s.mu.Lock()
 			if rs != nil {
 				rs.SetCount("events", int64(j.events))
-				rs.SetCount("shards", int64(rstats.Workers))
 				rs.SetCount("epochs", int64(rstats.Epochs))
 				rs.SetCount("maxEpochAccesses", int64(rstats.MaxEpochAccesses))
 				if err != nil {
@@ -1070,24 +1064,23 @@ func (s *Service) runJob(j *job) {
 		defer cancel(nil)
 
 		opts := trace.DurableOptions{
-			Workers:    workers,
 			StartEvent: start,
 			Progress:   trace.NewReplayProgress(),
 		}
+		var serializing atomic.Bool
 		if cp, ok := a.(tools.Checkpointer); ok && s.cfg.Journal != nil && s.cfg.CheckpointEvery > 0 {
 			opts.CheckpointEvery = s.cfg.CheckpointEvery
-			opts.Checkpoint = s.checkpointFunc(ctx, j, cp, uint64(len(tr.Events)))
+			opts.Checkpoint = s.checkpointFunc(ctx, j, cp, uint64(len(tr.Events)), &serializing)
 		}
 
 		replayStart = time.Now()
 		if s.cfg.StallTimeout > 0 {
-			rstats, err = s.replayWithWatchdog(ctx, cancel, j, tr, opts, a)
+			rstats, err = s.replayWithWatchdog(ctx, cancel, j, tr, opts, a, &serializing)
 		} else {
 			rstats, err = tr.ReplayDurable(ctx, opts, a)
 		}
 		wall = time.Since(replayStart)
 		s.metrics.replaySeconds.ObserveDuration(wall)
-		s.metrics.replayShards.Observe(float64(rstats.Workers))
 		if err != nil {
 			return err
 		}
@@ -1104,7 +1097,7 @@ func (s *Service) runJob(j *job) {
 		return nil
 	}
 
-	err := attempt(s.cfg.ReplayWorkers, ckpt)
+	err := attempt(ckpt)
 	if errors.Is(err, errStalled) {
 		s.metrics.watchdogRetries.Inc()
 		s.mu.Lock()
@@ -1115,10 +1108,10 @@ func (s *Service) runJob(j *job) {
 			resume = retryCkpt.NextEvent
 		}
 		delay := watchdogRetryDelay(s.cfg.StallTimeout)
-		s.jobLogger(j).Warn("retrying stalled replay sequentially",
+		s.jobLogger(j).Warn("retrying stalled replay from its freshest checkpoint",
 			"phase", "replay", "resume_event", resume, "delay", delay)
 		time.Sleep(delay)
-		err = attempt(1, retryCkpt)
+		err = attempt(retryCkpt)
 	}
 
 	var resultJSON json.RawMessage
@@ -1178,9 +1171,9 @@ func (s *Service) runJob(j *job) {
 }
 
 // watchdogRetryDelay is the full-jitter pause before a stalled replay's
-// sequential retry: uniform in [0, StallTimeout/2]. Stalls usually share a
-// cause (an overloaded disk, a CPU-starved host, a slow shared dependency),
-// so a fleet of jobs whose watchdogs all fired together must not retry in
+// retry: uniform in [0, StallTimeout/2]. Stalls usually share a cause (an
+// overloaded disk, a CPU-starved host, a slow shared dependency), so a
+// fleet of jobs whose watchdogs all fired together must not retry in
 // lockstep and re-create the very contention that stalled them.
 func watchdogRetryDelay(stall time.Duration) time.Duration {
 	if stall <= 0 {
@@ -1190,18 +1183,22 @@ func watchdogRetryDelay(stall time.Duration) time.Duration {
 }
 
 // checkpointFunc builds the ReplayDurable checkpoint callback for one job:
-// serialize the analyzer at the (drained) epoch boundary, write the frame
-// into the spool, and remember the checkpoint on the job so a watchdog
-// retry resumes from it. Serialization and spool failures are counted and
+// serialize the analyzer at the epoch boundary, write the frame into the
+// spool, and remember the checkpoint on the job so a watchdog retry
+// resumes from it. Serialization and spool failures are counted and
 // logged but never fail the replay — a checkpoint is an optimization. A
 // canceled context (watchdog, timeout) aborts the replay instead of
-// writing a checkpoint the cancellation has already outdated.
-func (s *Service) checkpointFunc(ctx context.Context, j *job, cp tools.Checkpointer, events uint64) func(uint64) error {
+// writing a checkpoint the cancellation has already outdated. serializing
+// is held true while the analyzer state is serialized, so the watchdog
+// does not mistake a large state for a stall.
+func (s *Service) checkpointFunc(ctx context.Context, j *job, cp tools.Checkpointer, events uint64, serializing *atomic.Bool) func(uint64) error {
 	return func(next uint64) error {
 		if cause := context.Cause(ctx); cause != nil {
 			return cause
 		}
+		serializing.Store(true)
 		raw, err := cp.CheckpointState()
+		serializing.Store(false)
 		if err != nil {
 			s.metrics.checkpointErrors.Inc()
 			s.jobLogger(j).Error("checkpoint serialize failed", "phase", "replay", "err", err)
@@ -1243,12 +1240,13 @@ func (s *Service) checkpointFunc(ctx context.Context, j *job, cp tools.Checkpoin
 
 // replayWithWatchdog runs the replay on a child goroutine while sampling
 // its progress heartbeats. If no heartbeat lands for Config.StallTimeout
-// the replay is canceled with errStalled; a replay that then fails to
+// (a tick that finds a checkpoint being serialized counts as one) the
+// replay is canceled with errStalled; a replay that then fails to
 // acknowledge the cancellation within a further stall timeout is abandoned
 // (its goroutine parks until the analyzer code returns, if ever) so the
 // worker can move on. A panic on the replay goroutine is re-raised here so
 // runJob's panic confinement sees it unchanged.
-func (s *Service) replayWithWatchdog(ctx context.Context, cancel context.CancelCauseFunc, j *job, tr *trace.Trace, opts trace.DurableOptions, a tools.Analyzer) (trace.ReplayStats, error) {
+func (s *Service) replayWithWatchdog(ctx context.Context, cancel context.CancelCauseFunc, j *job, tr *trace.Trace, opts trace.DurableOptions, a tools.Analyzer, serializing *atomic.Bool) (trace.ReplayStats, error) {
 	type result struct {
 		stats    trace.ReplayStats
 		err      error
@@ -1284,15 +1282,15 @@ func (s *Service) replayWithWatchdog(ctx context.Context, cancel context.CancelC
 			}
 			return res.stats, res.err
 		case <-ticker.C:
-			if sum := opts.Progress.Sum(); sum != lastSum {
+			if sum := opts.Progress.Sum(); sum != lastSum || serializing.Load() {
 				lastSum, lastBeat = sum, time.Now()
 				continue
 			}
 			if time.Since(lastBeat) < s.cfg.StallTimeout {
 				continue
 			}
-			// Stalled: no event was dispatched anywhere in the engine for a
-			// full stall timeout.
+			// Stalled: no event was dispatched and no checkpoint serialized
+			// for a full stall timeout.
 			s.metrics.jobsStalled.Inc()
 			s.jobLogger(j).Warn("replay made no progress; canceling",
 				"phase", "replay", "events_done", lastSum, "stall_timeout", s.cfg.StallTimeout)

@@ -112,9 +112,6 @@ func TestEndToEndTelemetry(t *testing.T) {
 	if _, ok := promtest.Find(fams, "arbalestd_replay_nanoseconds_total", nil); ok {
 		t.Error("deprecated replay_nanoseconds_total still exposed after its removal release")
 	}
-	if s, ok := promtest.Find(fams, "arbalestd_replay_shards_count", nil); !ok || s.Value != 1 {
-		t.Errorf("replay_shards_count = %+v (found %v), want 1", s, ok)
-	}
 	bi := telemetry.Version()
 	if _, ok := promtest.Find(fams, "arbalestd_build_info",
 		map[string]string{"goversion": bi.GoVersion, "version": bi.Version}); !ok {

@@ -9,7 +9,7 @@
 // each chunk is decoded incrementally (trace.PushDecoder), every completed
 // event advances the VSM through the same dispatch path batch replay uses —
 // with the same Seq-derived replay clocks — so the findings a session
-// accumulates are byte-identical to trace.ReplayParallel over the same
+// accumulates are byte-identical to trace.ReplayContext over the same
 // events. Findings are readable mid-stream with a long-poll cursor; the
 // min-seq dedup in report.Sink makes the stream's incremental report list
 // append-only, so a plain integer cursor is a stable resume token.

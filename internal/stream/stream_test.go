@@ -30,17 +30,17 @@ func recordDRACC(t testing.TB, b *dracc.Benchmark) *trace.Trace {
 	return rec.Trace()
 }
 
-// batchReports replays tr through trace.ReplayParallel at the given worker
-// count and renders every report to its full string form — the baseline a
-// streamed session must match byte for byte.
-func batchReports(t testing.TB, tr *trace.Trace, toolName string, workers int) []string {
+// batchReports replays tr through trace.ReplayContext and renders every
+// report to its full string form — the baseline a streamed session must
+// match byte for byte.
+func batchReports(t testing.TB, tr *trace.Trace, toolName string) []string {
 	t.Helper()
 	a, err := tools.New(toolName)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := tr.ReplayParallel(context.Background(), workers, a); err != nil {
-		t.Fatalf("batch replay (workers=%d): %v", workers, err)
+	if err := tr.ReplayContext(context.Background(), a); err != nil {
+		t.Fatalf("batch replay: %v", err)
 	}
 	reports := a.Sink().Reports()
 	out := make([]string, len(reports))
@@ -210,13 +210,13 @@ func assertSameReports(t *testing.T, label string, got, want []string) {
 // TestStreamEquivalenceDRACC is the subsystem's correctness anchor: for
 // every DRACC benchmark, the findings of a streamed session — at several
 // chunk shapes, including 1-event chunks and byte-at-a-time feeds — are
-// byte-identical (content and order) to trace.ReplayParallel over the same
+// byte-identical (content and order) to trace.ReplayContext over the same
 // events.
 func TestStreamEquivalenceDRACC(t *testing.T) {
 	h := newTestHub(t, func(c *Config) { c.MaxFinished = -1; c.MaxStreams = -1 })
 	for _, b := range dracc.All() {
 		tr := recordDRACC(t, b)
-		want := batchReports(t, tr, "arbalest", 1)
+		want := batchReports(t, tr, "arbalest")
 		if b.Defect == dracc.DefectNone && len(want) != 0 {
 			t.Fatalf("%s: batch replay reported on a correct benchmark: %q", b.Name(), want)
 		}
@@ -231,11 +231,6 @@ func TestStreamEquivalenceDRACC(t *testing.T) {
 			got := streamedReports(t, h, tr, "arbalest", shape.chunkEvents)
 			assertSameReports(t, b.Name()+"/"+shape.label, got, want)
 		}
-		// The parallel batch engine must agree too: stream == sequential ==
-		// sharded, the tier-1 equivalence chain.
-		if b.Defect != dracc.DefectNone {
-			assertSameReports(t, b.Name()+"/parallel-batch", batchReports(t, tr, "arbalest", 4), want)
-		}
 	}
 }
 
@@ -247,7 +242,7 @@ func TestStreamEquivalenceRequestShapes(t *testing.T) {
 	h := newTestHub(t, nil)
 	b := dracc.ByID(22)
 	tr := recordDRACC(t, b)
-	want := batchReports(t, tr, "arbalest", 1)
+	want := batchReports(t, tr, "arbalest")
 	assertSameReports(t, "request-per-event", streamedReports(t, h, tr, "arbalest", -1), want)
 	assertSameReports(t, "byte-at-a-time", streamedReports(t, h, tr, "arbalest", -2), want)
 }
@@ -258,7 +253,7 @@ func TestStreamEquivalenceRequestShapes(t *testing.T) {
 func TestStreamDuplicatesSkipped(t *testing.T) {
 	h := newTestHub(t, nil)
 	tr := recordDRACC(t, dracc.ByID(22))
-	want := batchReports(t, tr, "arbalest", 1)
+	want := batchReports(t, tr, "arbalest")
 	s := openSession(t, h, "arbalest")
 
 	half := len(tr.Events) / 2
@@ -443,7 +438,7 @@ func TestStreamLimits(t *testing.T) {
 func TestStreamFindingsCursor(t *testing.T) {
 	h := newTestHub(t, nil)
 	tr := recordDRACC(t, dracc.ByID(22))
-	want := batchReports(t, tr, "arbalest", 1)
+	want := batchReports(t, tr, "arbalest")
 	if len(want) == 0 {
 		t.Fatal("benchmark 22 produced no batch findings")
 	}
@@ -511,7 +506,7 @@ func TestStreamRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 	tr := recordDRACC(t, dracc.ByID(22))
-	want := batchReports(t, tr, "arbalest", 1)
+	want := batchReports(t, tr, "arbalest")
 
 	h1 := NewHub(Config{Registry: telemetry.NewRegistry(), Journal: jnl, CheckpointEvery: 4})
 	s1 := openSession(t, h1, "arbalest")
@@ -610,7 +605,7 @@ func TestStreamRecoveryUncheckpointed(t *testing.T) {
 		t.Fatal(err)
 	}
 	tr := recordDRACC(t, dracc.ByID(26))
-	want := batchReports(t, tr, "arbalest", 1)
+	want := batchReports(t, tr, "arbalest")
 
 	h1 := NewHub(Config{Registry: telemetry.NewRegistry(), Journal: jnl})
 	s1 := openSession(t, h1, "arbalest")

@@ -50,7 +50,7 @@ type Stats struct {
 	// shadow state or CV mappings.
 	IntervalLookups uint64 `json:"intervalLookups"`
 	// RegionMemoHits is the number of lookups satisfied by a last-hit memo
-	// instead of an index search (sequential and epoch-sharded replay).
+	// instead of an index search (sequential dispatch).
 	RegionMemoHits uint64 `json:"regionMemoHits,omitempty"`
 }
 

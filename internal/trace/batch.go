@@ -4,18 +4,18 @@
 // events to the dispatcher one pointer-chase at a time. Two mechanisms
 // avoid that:
 //
-// A static trace (ReplayContext, replayDurableSeq) is decoded ONCE into a
-// structure-of-arrays column set (accessCols): one entry per access event,
-// in trace order, with the replay clock pre-stamped. Each replay then
-// dispatches zero-copy slice views of those columns — no per-event, per-
-// replay repacking at all. Barrier (non-access) events bound the views, so
+// A static trace (ReplayDurable, and ReplayContext through it) is decoded
+// ONCE into a structure-of-arrays column set (accessCols): one entry per
+// access event, in trace order, with the replay clock pre-stamped. Each
+// replay then dispatches zero-copy slice views of those columns — no
+// per-event, per-replay repacking at all. Barrier (non-access) events bound the views, so
 // the set of dispatched events at any observable point matches the
 // per-event loop exactly, and so do the findings and checkpoint states.
 //
-// A live stream (the workers==1 arm of ReplayStream) has no static event
-// array to pre-decode, so it collects runs of consecutive access events
-// into one reusable columnar batch via accessBatcher, with a flush before
-// every barrier event, cancellation check, and early return.
+// A live stream (ReplayStream) has no static event array to pre-decode, so
+// it collects runs of consecutive access events into one reusable columnar
+// batch via accessBatcher, with a flush before every barrier event,
+// cancellation check, and early return.
 package trace
 
 import (
@@ -148,18 +148,15 @@ const accessBatchCap = 1024
 var batchPool = sync.Pool{New: func() any { return new(ompt.AccessBatch) }}
 
 // accessBatcher accumulates consecutive access events and flushes them to
-// the dispatcher as columnar batches. prog (nil-safe) receives one Add per
-// dispatched event, at flush time, mirroring the per-event Progress beats.
-// Callers must defer release().
+// the dispatcher as columnar batches. Callers must defer release().
 type accessBatcher struct {
-	d    *ompt.Dispatcher
-	prog *ReplayProgress
-	b    *ompt.AccessBatch
+	d *ompt.Dispatcher
+	b *ompt.AccessBatch
 }
 
-// newAccessBatcher leases a pooled column set. prog may be nil.
-func newAccessBatcher(d *ompt.Dispatcher, prog *ReplayProgress) accessBatcher {
-	return accessBatcher{d: d, prog: prog, b: batchPool.Get().(*ompt.AccessBatch)}
+// newAccessBatcher leases a pooled column set.
+func newAccessBatcher(d *ompt.Dispatcher) accessBatcher {
+	return accessBatcher{d: d, b: batchPool.Get().(*ompt.AccessBatch)}
 }
 
 // add appends one access event (payload must be non-nil), stamping the
@@ -173,13 +170,11 @@ func (ab *accessBatcher) add(e *Event) {
 
 // flush dispatches and resets the pending batch. No-op when empty.
 func (ab *accessBatcher) flush() {
-	n := ab.b.Len()
-	if n == 0 {
+	if ab.b.Len() == 0 {
 		return
 	}
 	ab.d.AccessBatch(ab.b)
 	ab.b.Reset()
-	ab.prog.Add(uint64(n))
 }
 
 // release returns the (already reset) columns to the pool. The batcher

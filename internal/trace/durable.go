@@ -1,23 +1,20 @@
 // Durable replay: checkpointed, resumable analysis.
 //
-// ReplayDurable extends ReplayParallel with two robustness hooks. First,
-// periodic checkpoints: at configurable epoch boundaries the caller's
-// Checkpoint callback fires with the index of the next undispatched event,
-// at a moment when the worker pool is fully drained — so the analyzer state
-// it serializes is exactly the state a sequential replay would have after
-// the same prefix. Checkpoint boundaries are chosen by a rule that does not
-// depend on the worker count ("after dispatching the non-access event at
-// index i, checkpoint at i+1 once at least CheckpointEvery events have
-// passed since the last checkpoint"), so a checkpoint taken by a parallel
-// replay restores into a sequential one and vice versa. Second, resume:
-// StartEvent skips the already-analyzed prefix, with the engine's CV->OV
-// shard mirror rebuilt by observing (not dispatching) the prefix's barrier
-// events, so sharding after a resume matches an uninterrupted run.
+// ReplayDurable is the one sequential replay loop behind every batch and
+// durable replay; it adds two robustness hooks. First, periodic
+// checkpoints: at configurable epoch boundaries the caller's Checkpoint
+// callback fires with the index of the next undispatched event, at a
+// moment when every event before it — and none after — has been
+// dispatched. Boundaries are chosen by a rule that references event
+// indices only ("after dispatching the non-access event at index i,
+// checkpoint at i+1 once at least CheckpointEvery events have passed since
+// the last checkpoint"), the same rule live stream sessions apply, so a
+// checkpoint taken by either restores into the other. Second, resume:
+// StartEvent skips the already-analyzed prefix.
 //
 // Progress heartbeats (ReplayProgress) let a watchdog distinguish a slow
-// replay from a wedged one: the caller loop and every pool worker beat a
-// shared set of counters, and a monotone Sum() that stops advancing means
-// no event has been dispatched anywhere in the engine.
+// replay from a wedged one: the loop advances a monotone counter, and a
+// Sum() that stops advancing means no event has been dispatched.
 package trace
 
 import (
@@ -28,35 +25,35 @@ import (
 	"repro/internal/ompt"
 )
 
-// progressShards is the number of heartbeat slots; workers beat the slot
-// indexed by their shard modulo this.
-const progressShards = 64
+// ReplayStats describes what one replay did.
+type ReplayStats struct {
+	// Events is the number of events dispatched.
+	Events uint64
+	// Accesses is the number of access events among them.
+	Accesses uint64
+	// Epochs is the number of barrier-delimited epochs that contained at
+	// least one access.
+	Epochs uint64
+	// MaxEpochAccesses is the largest access count in any single epoch.
+	MaxEpochAccesses uint64
+}
 
-// ReplayProgress is a set of monotone heartbeat counters shared between a
-// replay and a watchdog. All methods are safe for concurrent use and
-// nil-safe (a nil progress records nothing).
+// ReplayProgress is a monotone heartbeat counter shared between a replay
+// and a watchdog. Its methods are safe for concurrent use and nil-safe (a
+// nil progress records nothing).
 type ReplayProgress struct {
 	events atomic.Uint64
-	shards [progressShards]atomic.Uint64
 }
 
 // NewReplayProgress returns a zeroed progress tracker.
 func NewReplayProgress() *ReplayProgress { return &ReplayProgress{} }
 
-// Add records n events dispatched on the caller (barrier) side.
+// Add records n dispatched events.
 func (p *ReplayProgress) Add(n uint64) {
 	if p == nil || n == 0 {
 		return
 	}
 	p.events.Add(n)
-}
-
-// Beat records n accesses dispatched by the worker owning shard.
-func (p *ReplayProgress) Beat(shard int, n uint64) {
-	if p == nil || n == 0 {
-		return
-	}
-	p.shards[shard%progressShards].Add(n)
 }
 
 // Sum returns the total heartbeat count. A watchdog samples it; two equal
@@ -65,18 +62,11 @@ func (p *ReplayProgress) Sum() uint64 {
 	if p == nil {
 		return 0
 	}
-	n := p.events.Load()
-	for i := range p.shards {
-		n += p.shards[i].Load()
-	}
-	return n
+	return p.events.Load()
 }
 
 // DurableOptions configures ReplayDurable.
 type DurableOptions struct {
-	// Workers is the analysis worker count, as in ReplayParallel
-	// (0 = GOMAXPROCS; SequentialReplayer tools force 1).
-	Workers int
 	// StartEvent resumes the replay at this event index: events before it
 	// are assumed already folded into the tools' state (via a checkpoint
 	// restore). Must be an epoch boundary — the index a Checkpoint callback
@@ -86,21 +76,30 @@ type DurableOptions struct {
 	// taken at the next epoch boundary. 0 disables checkpointing.
 	CheckpointEvery uint64
 	// Checkpoint is called at each checkpoint boundary with the index of the
-	// first event NOT yet dispatched. The worker pool is drained when it
-	// runs, so serializing analyzer state is safe. A non-nil error aborts
-	// the replay.
+	// first event NOT yet dispatched. No event is in flight when it runs,
+	// so serializing analyzer state is safe. A non-nil error aborts the
+	// replay.
 	Checkpoint func(nextEvent uint64) error
-	// Progress, when non-nil, receives heartbeats from the caller loop and
-	// every pool worker.
+	// Progress, when non-nil, receives a heartbeat for every dispatched
+	// event.
 	Progress *ReplayProgress
 }
 
-// ReplayDurable drives the trace through the given tools with optional
-// checkpointing, resume, and progress heartbeats. With a zero DurableOptions
-// (beyond Workers) it is exactly ReplayParallel. Stats cover only the events
-// dispatched by this call: a resumed replay reports the suffix it replayed.
+// ReplayParallel replays the trace sequentially; workers is ignored.
+//
+// Deprecated: use ReplayDurable or ReplayContext. Kept only because the
+// perfbench module still calls it; remove it once perfbench drops the
+// call, and TestReplayStreamMatchesReplayParallel with it
+// (TestParallelReplayEquivalenceAllTools covers the same comparison).
+func (t *Trace) ReplayParallel(ctx context.Context, workers int, toolList ...ompt.Tool) (ReplayStats, error) {
+	return t.ReplayDurable(ctx, DurableOptions{}, toolList...)
+}
+
+// ReplayDurable drives the trace through the given tools on the calling
+// goroutine, in recorded order, with optional checkpointing, resume, and
+// progress heartbeats. Stats cover only the events dispatched by this
+// call: a resumed replay reports the suffix it replayed.
 func (t *Trace) ReplayDurable(ctx context.Context, opts DurableOptions, toolList ...ompt.Tool) (ReplayStats, error) {
-	workers := EffectiveWorkers(opts.Workers, toolList...)
 	var d ompt.Dispatcher
 	for _, tool := range toolList {
 		d.Register(tool)
@@ -108,26 +107,10 @@ func (t *Trace) ReplayDurable(ctx context.Context, opts DurableOptions, toolList
 	if opts.StartEvent > uint64(len(t.Events)) {
 		return ReplayStats{}, fmt.Errorf("trace: resume start %d is beyond trace end %d", opts.StartEvent, len(t.Events))
 	}
-	if workers == 1 {
-		d.SetDispatchMode(ompt.DispatchSequential)
-		return t.replayDurableSeq(ctx, &d, opts)
-	}
-	d.SetDispatchMode(ompt.DispatchEpochSharded)
-	return t.replayDurablePar(ctx, &d, opts, workers)
-}
-
-// checkpointDue reports whether a checkpoint should fire at boundary, given
-// the previous checkpoint position. The rule references only event indices,
-// never worker count or dispatch timing, so sequential and parallel replays
-// checkpoint at identical boundaries.
-func checkpointDue(opts *DurableOptions, boundary, last uint64) bool {
-	return opts.CheckpointEvery > 0 && opts.Checkpoint != nil && boundary-last >= opts.CheckpointEvery
-}
-
-// replayDurableSeq is the workers==1 path: sequential dispatch with the same
-// checkpoint-boundary rule as the parallel path.
-func (t *Trace) replayDurableSeq(ctx context.Context, d *ompt.Dispatcher, opts DurableOptions) (ReplayStats, error) {
-	st := ReplayStats{Workers: 1}
+	// One goroutine delivers every callback here, so modal tools may drop
+	// their synchronization and enable single-threaded accelerators.
+	d.SetDispatchMode(ompt.DispatchSequential)
+	var st ReplayStats
 	events := t.Events
 	start := int(opts.StartEvent)
 	last := opts.StartEvent
@@ -181,7 +164,7 @@ func (t *Trace) replayDurableSeq(ctx context.Context, d *ompt.Dispatcher, opts D
 			i = j
 			continue
 		}
-		if err := dispatchEvent(d, e); err != nil {
+		if err := dispatchEvent(&d, e); err != nil {
 			return st, err
 		}
 		st.Events++
@@ -198,62 +181,10 @@ func (t *Trace) replayDurableSeq(ctx context.Context, d *ompt.Dispatcher, opts D
 	return st, nil
 }
 
-// replayDurablePar is the fan-out path: epoch-sharded dispatch with
-// checkpoints at drained barriers and the shard mirror rebuilt from the
-// skipped prefix on resume.
-func (t *Trace) replayDurablePar(ctx context.Context, d *ompt.Dispatcher, opts DurableOptions, workers int) (ReplayStats, error) {
-	eng := newReplayEngine(ctx, d, workers, opts.Progress)
-	defer eng.stop()
-	events := t.Events
-	start := int(opts.StartEvent)
-	// Resume: fold the prefix's barrier events into the CV/unified mirror
-	// without dispatching them, so canonicalWord — and therefore sharding —
-	// matches an uninterrupted run.
-	for i := 0; i < start; i++ {
-		if events[i].Kind != KindAccess {
-			eng.observe(&events[i])
-		}
-	}
-	last := opts.StartEvent
-	i := start
-	for i < len(events) {
-		if err := ctx.Err(); err != nil {
-			eng.barrier()
-			return eng.stats, fmt.Errorf("trace: replay canceled at event %d of %d: %w", i, len(events), err)
-		}
-		if events[i].Kind == KindAccess {
-			// The epoch is the maximal run of consecutive accesses; it is
-			// handed to the pool as a sub-slice of Events, uncopied.
-			j := i
-			for j < len(events) && events[j].Kind == KindAccess {
-				if events[j].Access == nil {
-					eng.barrier()
-					return eng.stats, payloadErr(&events[j])
-				}
-				j++
-			}
-			eng.dispatchRun(events[i:j], false)
-			i = j
-			continue
-		}
-		eng.barrier()
-		eng.observe(&events[i])
-		eng.stats.Events++
-		opts.Progress.Add(1)
-		if err := dispatchEvent(eng.d, &events[i]); err != nil {
-			return eng.stats, err
-		}
-		i++
-		// The pool is drained (barrier above) and the barrier event has been
-		// applied, so every tool's state is exactly the sequential state
-		// after events[:i] — safe to serialize.
-		if boundary := uint64(i); checkpointDue(&opts, boundary, last) {
-			if err := opts.Checkpoint(boundary); err != nil {
-				return eng.stats, err
-			}
-			last = boundary
-		}
-	}
-	eng.barrier()
-	return eng.stats, nil
+// checkpointDue reports whether a checkpoint should fire at boundary, given
+// the previous checkpoint position. The rule references only event indices,
+// never dispatch timing or chunking, so batch replays and live stream
+// sessions checkpoint at identical boundaries.
+func checkpointDue(opts *DurableOptions, boundary, last uint64) bool {
+	return opts.CheckpointEvery > 0 && opts.Checkpoint != nil && boundary-last >= opts.CheckpointEvery
 }

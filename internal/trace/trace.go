@@ -140,7 +140,7 @@ type Trace struct {
 	Events []Event
 
 	// cols caches the decode-once columnar view of the access events (see
-	// accessCols). Built lazily on the first sequential replay; replays of
+	// accessCols). Built lazily on the first replay; replays of
 	// one trace then dispatch zero-copy slices of it.
 	cols atomic.Pointer[accessCols]
 }
@@ -150,7 +150,7 @@ func (t *Trace) Replay(toolList ...ompt.Tool) error {
 	return t.ReplayContext(context.Background(), toolList...)
 }
 
-// replayCheckInterval is how many events ReplayContext dispatches between
+// replayCheckInterval is how many events a replay dispatches between
 // cancellation checks. Checking every event would put an atomic load on the
 // hot path for no benefit; a few hundred events replay in microseconds.
 const replayCheckInterval = 256
@@ -158,68 +158,16 @@ const replayCheckInterval = 256
 // ReplayContext drives the trace through the given tools, in recorded order,
 // stopping early when ctx is canceled or its deadline passes. The returned
 // error wraps ctx.Err() in that case, so errors.Is(err, context.Canceled)
-// and errors.Is(err, context.DeadlineExceeded) work as expected.
+// and errors.Is(err, context.DeadlineExceeded) work as expected. It is
+// ReplayDurable without checkpoints, resume, or heartbeats.
 //
 // Events are validated when a trace is loaded (LoadLimited) or decoded
-// (Stream); the hot loop here only carries a nil-payload guard via
+// (Stream); the hot loop only carries a nil-payload guard via
 // dispatchEvent, so a hand-built malformed Trace still fails cleanly
 // instead of panicking.
 func (t *Trace) ReplayContext(ctx context.Context, toolList ...ompt.Tool) error {
-	var d ompt.Dispatcher
-	for _, tool := range toolList {
-		d.Register(tool)
-	}
-	// One goroutine delivers every callback here, so modal tools may drop
-	// their synchronization and enable single-threaded accelerators.
-	d.SetDispatchMode(ompt.DispatchSequential)
-	cols := t.columns()
-	events := t.Events
-	sinceCheck := replayCheckInterval // check ctx before the first event
-	for i := 0; i < len(events); {
-		if sinceCheck >= replayCheckInterval {
-			sinceCheck = 0
-			if err := ctx.Err(); err != nil {
-				return fmt.Errorf("trace: replay canceled at event %d of %d: %w", i, len(events), err)
-			}
-		}
-		e := &events[i]
-		if e.Kind == KindAccess {
-			if e.Access == nil {
-				return payloadErr(e)
-			}
-			// Maximal run of valid access events: dispatch zero-copy column
-			// views, checking for cancellation between chunks.
-			j := i + 1
-			for j < len(events) && events[j].Kind == KindAccess && events[j].Access != nil {
-				j++
-			}
-			lo := cols.pos[i]
-			for off, run := 0, j-i; off < run; {
-				chunk := run - off
-				if chunk > accessBatchCap {
-					chunk = accessBatchCap
-				}
-				b := cols.view(lo+off, lo+off+chunk)
-				d.AccessBatch(&b)
-				off += chunk
-				sinceCheck += chunk
-				if sinceCheck >= replayCheckInterval && off < run {
-					sinceCheck = 0
-					if err := ctx.Err(); err != nil {
-						return fmt.Errorf("trace: replay canceled at event %d of %d: %w", i+off, len(events), err)
-					}
-				}
-			}
-			i = j
-			continue
-		}
-		if err := dispatchEvent(&d, e); err != nil {
-			return err
-		}
-		sinceCheck++
-		i++
-	}
-	return nil
+	_, err := t.ReplayDurable(ctx, DurableOptions{}, toolList...)
+	return err
 }
 
 // dispatchEvent sends one event through the dispatcher. The switch's nil
@@ -278,9 +226,9 @@ func payloadErr(e *Event) error {
 
 // accessWithClock copies the event's access payload and stamps the
 // replay-assigned scalar clock (the trace sequence number, shifted so zero
-// keeps meaning "unset"). Every replay path — sequential and parallel —
-// stamps the same value, which is what makes their recorded shadow
-// metadata, and therefore their reports, byte-identical.
+// keeps meaning "unset"). Every replay path — batch or streamed — stamps
+// the same value, which is what makes their recorded shadow metadata, and
+// therefore their reports, byte-identical.
 func accessWithClock(e *Event) ompt.AccessEvent {
 	a := *e.Access
 	a.Clock = e.Seq + 1
