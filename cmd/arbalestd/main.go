@@ -124,8 +124,8 @@
 // interrupted by a crash resumes from its last checkpoint instead of
 // replaying from scratch (findings are identical either way).
 // -job-stall-timeout arms a watchdog that cancels replays whose progress
-// heartbeats stop advancing and retries them once sequentially from their
-// freshest checkpoint.
+// heartbeats stop advancing and retries them once from their freshest
+// checkpoint.
 //
 // With -debug-addr, a second HTTP listener (intended to stay private)
 // serves net/http/pprof under /debug/pprof/ and expvar under /debug/vars.

@@ -9,8 +9,11 @@
 //
 //	benchgate -baseline BENCH_fig8_w1.json -fresh /tmp/fresh_w1.json [-threshold 0.05]
 //
-// Exit status 0 when every shared benchmark is within threshold, 1 on any
-// regression, 2 on usage or decode errors.
+// Exit status 0 when every baseline benchmark was compared and is within
+// threshold, 1 on any regression, 2 on usage or decode errors and when the
+// comparison is incomplete: a baseline entry with no comparable fresh
+// counterpart (same name and GOMAXPROCS, ns/op on both sides), which
+// includes comparing nothing at all.
 //
 // Overrides:
 //
@@ -20,15 +23,17 @@
 //	BENCH_GATE_THRESHOLD=<float>  override the regression threshold
 //	    (fraction, e.g. 0.10 for 10%) without editing the workflow.
 //
-// Benchmarks present in only one document are reported but never fail the
-// gate (new benchmarks have no baseline yet; retired ones have no fresh
-// run). Improvements never fail, regardless of size.
+// Fresh benchmarks without a baseline entry are reported but never fail the
+// gate (new benchmarks have no baseline yet); a retired benchmark must leave
+// the baseline in the same change. Improvements never fail, regardless of
+// size.
 package main
 
 import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"sort"
 	"strconv"
@@ -63,9 +68,10 @@ func (r Regression) String() string {
 }
 
 // Compare diffs fresh against baseline at the given threshold (0.05 =
-// fail on >5% mean ns/op growth). It returns the regressions plus
-// informational notes (benchmarks present in only one document).
-func Compare(baseline, fresh *Doc, threshold float64) (regs []Regression, notes []string) {
+// fail on >5% mean ns/op growth). It returns the regressions, informational
+// notes (benchmarks present in only one document, missing ns/op), and how
+// many baseline entries were actually compared.
+func Compare(baseline, fresh *Doc, threshold float64) (regs []Regression, notes []string, matched int) {
 	key := func(e *Entry) string { return e.Name + "\x00" + strconv.Itoa(e.Procs) }
 	base := make(map[string]*Entry, len(baseline.Benchmarks))
 	for i := range baseline.Benchmarks {
@@ -86,6 +92,7 @@ func Compare(baseline, fresh *Doc, threshold float64) (regs []Regression, notes 
 			notes = append(notes, fmt.Sprintf("%s: missing ns/op (baseline %v, fresh %v)", f.Name, bn, fn))
 			continue
 		}
+		matched++
 		if fn > bn*(1+threshold) {
 			regs = append(regs, Regression{Name: f.Name, Baseline: bn, Fresh: fn})
 		}
@@ -97,7 +104,32 @@ func Compare(baseline, fresh *Doc, threshold float64) (regs []Regression, notes 
 	}
 	sort.Slice(regs, func(i, j int) bool { return regs[i].Ratio() > regs[j].Ratio() })
 	sort.Strings(notes)
-	return regs, notes
+	return regs, notes, matched
+}
+
+// gate prints the comparison and returns the process exit status: 2 when
+// any baseline entry went uncompared (a fresh run at another GOMAXPROCS
+// matches nothing), 1 on a regression, 0 otherwise.
+func gate(baseline, fresh *Doc, threshold float64, stdout, stderr io.Writer) int {
+	regs, notes, matched := Compare(baseline, fresh, threshold)
+	for _, n := range notes {
+		fmt.Fprintln(stdout, "note:", n)
+	}
+	if matched < len(baseline.Benchmarks) {
+		fmt.Fprintf(stderr, "benchgate: compared %d of %d baseline benchmark(s); the fresh run must cover every baseline entry at the same GOMAXPROCS\n",
+			matched, len(baseline.Benchmarks))
+		return 2
+	}
+	if len(regs) == 0 {
+		fmt.Fprintf(stdout, "benchgate: OK — %d benchmark(s) compared, none regressed past %.0f%%\n", matched, threshold*100)
+		return 0
+	}
+	fmt.Fprintf(stderr, "benchgate: %d benchmark(s) regressed past %.0f%%:\n", len(regs), threshold*100)
+	for _, r := range regs {
+		fmt.Fprintln(stderr, "  ", r.String())
+	}
+	fmt.Fprintln(stderr, "set BENCH_GATE_SKIP=1 only for intentional baseline resets")
+	return 1
 }
 
 func load(path string) (*Doc, error) {
@@ -148,18 +180,5 @@ func main() {
 		fmt.Fprintln(os.Stderr, "benchgate:", err)
 		os.Exit(2)
 	}
-	regs, notes := Compare(baseline, fresh, *threshold)
-	for _, n := range notes {
-		fmt.Println("note:", n)
-	}
-	if len(regs) == 0 {
-		fmt.Printf("benchgate: OK — no benchmark regressed past %.0f%%\n", *threshold*100)
-		return
-	}
-	fmt.Fprintf(os.Stderr, "benchgate: %d benchmark(s) regressed past %.0f%%:\n", len(regs), *threshold*100)
-	for _, r := range regs {
-		fmt.Fprintln(os.Stderr, "  ", r.String())
-	}
-	fmt.Fprintln(os.Stderr, "set BENCH_GATE_SKIP=1 only for intentional baseline resets")
-	os.Exit(1)
+	os.Exit(gate(baseline, fresh, *threshold, os.Stdout, os.Stderr))
 }

@@ -1,6 +1,9 @@
 package main
 
-import "testing"
+import (
+	"io"
+	"testing"
+)
 
 func doc(ns map[string]float64) *Doc {
 	d := &Doc{}
@@ -22,7 +25,7 @@ func TestCompareFailsOnInjectedRegression(t *testing.T) {
 		"BenchmarkFig8/552.pep/arbalest-replay": 106000,
 		"BenchmarkFig8/554.pcg/arbalest-replay": 2020000,
 	})
-	regs, notes := Compare(base, fresh, 0.05)
+	regs, notes, _ := Compare(base, fresh, 0.05)
 	if len(notes) != 0 {
 		t.Errorf("unexpected notes: %v", notes)
 	}
@@ -40,7 +43,7 @@ func TestCompareFailsOnInjectedRegression(t *testing.T) {
 func TestComparePassesOnIdenticalAndImproved(t *testing.T) {
 	base := doc(map[string]float64{"a": 1000, "b": 500})
 	fresh := doc(map[string]float64{"a": 1000, "b": 100}) // b improved 5x
-	if regs, _ := Compare(base, fresh, 0.05); len(regs) != 0 {
+	if regs, _, _ := Compare(base, fresh, 0.05); len(regs) != 0 {
 		t.Errorf("identical/improved runs flagged: %v", regs)
 	}
 }
@@ -48,7 +51,7 @@ func TestComparePassesOnIdenticalAndImproved(t *testing.T) {
 func TestCompareBoundaryExactlyAtThreshold(t *testing.T) {
 	base := doc(map[string]float64{"a": 100000})
 	fresh := doc(map[string]float64{"a": 105000}) // exactly 5%: not past it
-	if regs, _ := Compare(base, fresh, 0.05); len(regs) != 0 {
+	if regs, _, _ := Compare(base, fresh, 0.05); len(regs) != 0 {
 		t.Errorf("exact-threshold run flagged: %v", regs)
 	}
 }
@@ -56,7 +59,7 @@ func TestCompareBoundaryExactlyAtThreshold(t *testing.T) {
 func TestCompareNotesUnmatchedEntries(t *testing.T) {
 	base := doc(map[string]float64{"retired": 100})
 	fresh := doc(map[string]float64{"brandnew": 100})
-	regs, notes := Compare(base, fresh, 0.05)
+	regs, notes, _ := Compare(base, fresh, 0.05)
 	if len(regs) != 0 {
 		t.Errorf("unmatched entries must not fail the gate: %v", regs)
 	}
@@ -68,7 +71,7 @@ func TestCompareNotesUnmatchedEntries(t *testing.T) {
 func TestCompareMissingNsPerOp(t *testing.T) {
 	base := doc(map[string]float64{"a": 1000})
 	fresh := &Doc{Benchmarks: []Entry{{Name: "a", Procs: 1, Metrics: map[string]float64{}}}}
-	regs, notes := Compare(base, fresh, 0.05)
+	regs, notes, _ := Compare(base, fresh, 0.05)
 	if len(regs) != 0 || len(notes) != 1 {
 		t.Errorf("regs=%v notes=%v, want a note and no failure", regs, notes)
 	}
@@ -83,8 +86,37 @@ func TestProcsDistinguishEntries(t *testing.T) {
 		{Name: "a", Procs: 1, Metrics: map[string]float64{"ns/op": 1000}},
 		{Name: "a", Procs: 4, Metrics: map[string]float64{"ns/op": 900}}, // -4 arm regressed
 	}}
-	regs, _ := Compare(base, fresh, 0.05)
+	regs, _, _ := Compare(base, fresh, 0.05)
 	if len(regs) != 1 || regs[0].Fresh != 900 {
 		t.Errorf("regs = %v, want only the procs=4 arm", regs)
+	}
+}
+
+// TestGateFailsWhenNothingCompared: a baseline recorded at GOMAXPROCS=1 and
+// a fresh run at GOMAXPROCS=2 share no entry. The gate must refuse to pass
+// (exit 2) instead of reporting "no regression" over an empty comparison.
+func TestGateFailsWhenNothingCompared(t *testing.T) {
+	base := doc(map[string]float64{
+		"BenchmarkFig8/552.pep/arbalest-replay": 100000,
+		"BenchmarkFig8/554.pcg/arbalest-replay": 2000000,
+	})
+	fresh := &Doc{}
+	for _, e := range base.Benchmarks {
+		e.Procs = 2
+		fresh.Benchmarks = append(fresh.Benchmarks, e)
+	}
+	if _, _, matched := Compare(base, fresh, 0.05); matched != 0 {
+		t.Errorf("matched = %d, want 0 across GOMAXPROCS", matched)
+	}
+	if code := gate(base, fresh, 0.05, io.Discard, io.Discard); code != 2 {
+		t.Errorf("gate exit = %d, want 2 when nothing was compared", code)
+	}
+	// One baseline entry left uncompared is just as incomplete.
+	partial := &Doc{Benchmarks: base.Benchmarks[:1]}
+	if code := gate(base, partial, 0.05, io.Discard, io.Discard); code != 2 {
+		t.Errorf("gate exit = %d, want 2 with a baseline entry missing from the fresh run", code)
+	}
+	if code := gate(base, base, 0.05, io.Discard, io.Discard); code != 0 {
+		t.Errorf("gate exit = %d, want 0 for a complete, unregressed comparison", code)
 	}
 }

@@ -28,9 +28,6 @@ type CoordinatorConfig struct {
 	// contact (default 3×LeaseTTL). With zero live workers the coordinator
 	// runs jobs inline.
 	WorkerTTL time.Duration
-	// InlineWorkers bounds concurrent inline (degraded-mode) replays
-	// (default GOMAXPROCS).
-	InlineWorkers int
 	// Registry receives the fleet metric families; pass the service's so
 	// one scrape covers both (nil = private registry).
 	Registry *telemetry.Registry
@@ -48,9 +45,6 @@ func (c CoordinatorConfig) withDefaults() CoordinatorConfig {
 	}
 	if c.WorkerTTL <= 0 {
 		c.WorkerTTL = 3 * c.LeaseTTL
-	}
-	if c.InlineWorkers <= 0 {
-		c.InlineWorkers = runtime.GOMAXPROCS(0)
 	}
 	if c.Logger == nil {
 		c.Logger = slog.New(slog.NewTextHandler(io.Discard, nil))
@@ -104,7 +98,8 @@ type Coordinator struct {
 	cancelDispatch context.CancelFunc
 	loopWG         sync.WaitGroup
 	inlineWG       sync.WaitGroup
-	inlineSem      chan struct{}
+	// inlineSem bounds inline (degraded-mode) replays to one per CPU.
+	inlineSem chan struct{}
 }
 
 // NewCoordinator builds a Coordinator. With cfg.Fleet set, the fencing
@@ -123,7 +118,7 @@ func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 		workers:   make(map[string]time.Time),
 		notify:    make(chan struct{}),
 		stop:      make(chan struct{}),
-		inlineSem: make(chan struct{}, cfg.InlineWorkers),
+		inlineSem: make(chan struct{}, runtime.GOMAXPROCS(0)),
 	}
 	if cfg.Fleet != nil {
 		st, err := cfg.Fleet.RecoverFleet(nil)
@@ -429,7 +424,7 @@ func (c *Coordinator) ReceiveCheckpoint(workerID string, token uint64, data []by
 	c.leases[ck.JobID].deadline = time.Now().Add(c.cfg.LeaseTTL)
 	c.workers[workerID] = time.Now()
 	c.mu.Unlock()
-	if err := c.cfg.Backend.StoreRemoteCheckpoint(ck); err != nil {
+	if err := c.cfg.Backend.StoreCheckpoint(ck); err != nil {
 		return err
 	}
 	c.m.checkpointsReceived.Inc()
@@ -446,8 +441,9 @@ func (c *Coordinator) ReceiveResult(jobID, workerID string, token uint64, errMsg
 		return err
 	}
 	// Claim the completion before releasing the lock: a janitor tick
-	// between unlock and CompleteRemote must not reschedule a job whose
-	// result is already in hand.
+	// between unlock and Complete must not reschedule a job whose result is
+	// already in hand.
+	events := c.leases[jobID].spec.Events
 	delete(c.leases, jobID)
 	c.workers[workerID] = time.Now()
 	c.mu.Unlock()
@@ -457,7 +453,9 @@ func (c *Coordinator) ReceiveResult(jobID, workerID string, token uint64, errMsg
 		}
 		sink.CloseLeaseSpan(jobID, token, errMsg)
 	}
-	if err := c.cfg.Backend.CompleteRemote(jobID, errMsg, result); err != nil {
+	// A remote run reports its whole trace as replayed and its wall from
+	// the lease grant (Wall zero).
+	if err := c.cfg.Backend.Complete(jobID, Result{Error: errMsg, Summary: result, Events: uint64(events)}); err != nil {
 		return err
 	}
 	status := "done"

@@ -31,7 +31,9 @@
 // With zero live workers the coordinator runs jobs inline through the same
 // service engine, so a standalone arbalestd (or a fleet that lost every
 // worker) keeps working — distribution is an optimization, never a
-// requirement.
+// requirement. Inline, standalone and remote runs all go through one
+// executor (Job) and record their outcome through the same Backend
+// methods, so a job's findings are the same bytes whichever process ran it.
 package dist
 
 import (
@@ -62,34 +64,54 @@ type JobSpec struct {
 // Backend is the coordinator's seam into the job engine; *service.Service
 // implements it. The coordinator owns dispatch policy (lease vs inline) and
 // the lease table; the backend owns the job store, the journal, and the
-// metrics the single-process daemon already had.
+// metrics. The running mark, checkpoint custody, and the terminal
+// transition go through the same three methods whoever runs the job: a
+// remote worker (via the coordinator), the inline path, or the standalone
+// worker pool.
 type Backend interface {
 	// DequeueJob blocks for the next accepted job, returning ok=false when
 	// ctx is canceled or the queue is closed and drained.
 	DequeueJob(ctx context.Context) (JobSpec, bool)
-	// RunJobInline analyzes the job on the calling goroutine using the
-	// single-process replay path (panic confinement, watchdog, local
-	// checkpoints included).
+	// RunJobInline analyzes the job on the calling goroutine through the
+	// executor (panic confinement, watchdog, local checkpoints included).
 	RunJobInline(id string)
-	// MarkJobRunning transitions the job to running state on behalf of a
-	// remote worker, journaling the transition. It returns false if the job
-	// no longer exists or is already terminal (the lease should be
-	// abandoned, not granted).
+	// MarkJobRunning transitions the job to running state, journaling the
+	// transition; worker names the lease holder ("" when run in-process). It
+	// returns false if the job no longer exists or is already terminal (the
+	// job must not run).
 	MarkJobRunning(id, worker string) bool
-	// StoreRemoteCheckpoint ingests a checkpoint streamed back by a worker:
-	// monotone per job (a stale checkpoint is dropped, not an error) and
-	// spooled through the journal so it survives a coordinator restart.
-	StoreRemoteCheckpoint(ck *trace.Checkpoint) error
-	// CompleteRemote records a remote job's terminal state exactly once:
-	// errMsg=="" means done with the given summary JSON, otherwise failed.
-	// A job already terminal returns an error (the write lost the race).
-	CompleteRemote(id, errMsg string, result json.RawMessage) error
-	// FreshCheckpoint returns the job's newest ingested checkpoint, nil if
-	// none — what a rescheduled worker resumes from.
+	// StoreCheckpoint takes custody of a job's checkpoint: monotone per job
+	// (a stale checkpoint is dropped, not an error) and spooled through the
+	// journal so it survives a restart.
+	StoreCheckpoint(ck *trace.Checkpoint) error
+	// Complete records the job's terminal state exactly once. A job already
+	// terminal returns an error (the write lost the race).
+	Complete(id string, r Result) error
+	// FreshCheckpoint returns the job's newest checkpoint, nil if none —
+	// what a rescheduled run resumes from.
 	FreshCheckpoint(id string) *trace.Checkpoint
 	// TraceFramed serializes the job's trace in the CRC-framed wire format
 	// for a worker to fetch.
 	TraceFramed(id string) ([]byte, error)
+}
+
+// Result is a job's terminal outcome as Backend.Complete records it. Where
+// in-process and remote runs measure differently, each passes its own value.
+type Result struct {
+	// Error, when non-empty, fails the job; otherwise it is done with
+	// Summary (tools.Summary JSON) as its result.
+	Error   string
+	Summary json.RawMessage
+	// Wall is the replay time in process; zero (a remote run) means the
+	// time since the job started running, lease grant to result.
+	Wall time.Duration
+	// Events is how many events the run replayed: from the resume point in
+	// process, the whole trace remotely.
+	Events uint64
+	// SummarizeStart and SummarizeWall, when set (in process), add a
+	// "summarize" span to the job's trace.
+	SummarizeStart time.Time
+	SummarizeWall  time.Duration
 }
 
 // TraceSink is the optional distributed-tracing seam on a Backend,

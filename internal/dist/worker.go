@@ -17,7 +17,6 @@ import (
 	"repro/internal/faultinject"
 	"repro/internal/retry"
 	"repro/internal/telemetry"
-	"repro/internal/tools"
 	"repro/internal/trace"
 )
 
@@ -308,57 +307,15 @@ func (w *Worker) runJob(ctx context.Context, grant *LeaseGrant) error {
 	if err != nil {
 		log.Warn("checkpoint fetch failed; replaying from scratch", "err", err)
 	}
-
-	a, err := tools.New(grant.Job.Tool)
-	if err != nil {
-		wt.end(restoreSpan, err)
-		return postFinal(err.Error(), nil)
-	}
-	var start uint64
-	cp, canCheckpoint := a.(tools.Checkpointer)
-	if ck != nil && canCheckpoint && ck.Tool == grant.Job.Tool && ck.NextEvent <= uint64(len(tr.Events)) {
-		if rerr := cp.RestoreState(ck.State); rerr != nil {
-			log.Error("checkpoint restore failed; replaying from scratch", "err", rerr)
-			if a, err = tools.New(grant.Job.Tool); err != nil {
-				wt.end(restoreSpan, err)
-				return postFinal(err.Error(), nil)
-			}
-			cp, canCheckpoint = a.(tools.Checkpointer)
-		} else {
-			start = ck.NextEvent
-			log.Info("resuming from handed-off checkpoint", "resume_event", start, "events", len(tr.Events))
-		}
-	}
-	wt.setCount(restoreSpan, "resume_event", int64(start))
-	wt.end(restoreSpan, nil)
-
-	opts := trace.DurableOptions{
-		StartEvent: start,
-		Progress:   trace.NewReplayProgress(),
-	}
-	crashed := false
 	var replaySpan *telemetry.Span
-	if canCheckpoint && w.cfg.CheckpointEvery > 0 {
-		opts.CheckpointEvery = w.cfg.CheckpointEvery
-		opts.Checkpoint = func(next uint64) error {
-			if cause := context.Cause(rctx); cause != nil {
-				return cause
-			}
+	job := Job{
+		ID: jobID, Tool: grant.Job.Tool, Trace: tr, Resume: ck,
+		CheckpointEvery: w.cfg.CheckpointEvery,
+		Logger:          log,
+		// Checkpoints go to the coordinator under the lease's fencing token.
+		Checkpoint: func(wck *trace.Checkpoint) error {
 			if err := faultinject.Fire("dist.worker.slow"); err != nil {
 				return err
-			}
-			state, serr := cp.CheckpointState()
-			if serr != nil {
-				log.Error("checkpoint serialize failed", "err", serr)
-				return nil // checkpoints are an optimization
-			}
-			wck := &trace.Checkpoint{
-				JobID:     jobID,
-				Tool:      grant.Job.Tool,
-				NextEvent: next,
-				Events:    uint64(len(tr.Events)),
-				Created:   time.Now(),
-				State:     state,
 			}
 			if perr := w.postCheckpoint(rctx, wck, token); perr != nil {
 				if isFenced(perr) {
@@ -369,34 +326,38 @@ func (w *Worker) runJob(ctx context.Context, grant *LeaseGrant) error {
 			// Ship the span tree right behind the durable checkpoint: if the
 			// worker dies after this point (the very next statement in the
 			// fault-injected case), the trace already shows how far it got.
-			wt.setCount(replaySpan, "checkpoint_event", int64(next))
+			wt.setCount(replaySpan, "checkpoint_event", int64(wck.NextEvent))
 			if hb := wt.snapshot(); hb != nil {
 				_ = w.postHeartbeat(rctx, jobID, token, hb)
 			}
 			if err := faultinject.Fire("dist.worker.crash"); err != nil {
-				crashed = true
 				return errWorkerCrash
 			}
 			return nil
-		}
+		},
 	}
+	run, err := job.Open()
+	if err != nil {
+		wt.end(restoreSpan, err)
+		return postFinal(err.Error(), nil)
+	}
+	wt.setCount(restoreSpan, "resume_event", int64(run.Start))
+	wt.end(restoreSpan, nil)
 
 	replaySpan = wt.begin("replay")
-	wt.setCount(replaySpan, "start_event", int64(start))
-	_, rerr := tr.ReplayDurable(rctx, opts, a)
+	wt.setCount(replaySpan, "start_event", int64(run.Start))
+	out, rerr := run.Execute(rctx)
 	cancel(nil)
 	<-hbDone
-	if crashed || errors.Is(rerr, errWorkerCrash) {
+	if errors.Is(rerr, errWorkerCrash) {
 		return errWorkerCrash
 	}
 	wt.end(replaySpan, rerr)
-	if cause := context.Cause(rctx); cause != nil &&
-		(errors.Is(cause, errFencedLocal) || errors.Is(cause, errPartitioned)) {
-		log.Warn("abandoning job", "cause", cause)
-		return nil
-	}
-	if errors.Is(rerr, errFencedLocal) {
-		log.Warn("abandoning job", "cause", rerr)
+	// A fenced checkpoint post ends the replay with errFencedLocal; a fenced
+	// or partitioned heartbeat cancels it with that cause.
+	if cause := context.Cause(rctx); errors.Is(rerr, errFencedLocal) ||
+		errors.Is(cause, errFencedLocal) || errors.Is(cause, errPartitioned) {
+		log.Warn("abandoning job", "cause", cause, "err", rerr)
 		return nil
 	}
 	if rerr != nil {
@@ -405,17 +366,12 @@ func (w *Worker) runJob(ctx context.Context, grant *LeaseGrant) error {
 		}
 		return nil
 	}
-	summary := tools.Summarize(a)
-	resultJSON, merr := json.Marshal(summary)
-	if merr != nil {
-		resultJSON = nil
-	}
-	wt.setCount(replaySpan, "issues", int64(summary.Issues))
-	if perr := postFinal("", resultJSON); perr != nil && !isFenced(perr) {
+	wt.setCount(replaySpan, "issues", int64(out.Summary.Issues))
+	if perr := postFinal("", out.Result); perr != nil && !isFenced(perr) {
 		log.Error("result post failed; lease will expire and the job reschedule", "err", perr)
 		return nil
 	}
-	log.Info("job completed", "issues", summary.Issues)
+	log.Info("job completed", "issues", out.Summary.Issues)
 	return nil
 }
 
@@ -481,53 +437,54 @@ func isFenced(err error) bool {
 	return errors.As(err, &se) && se.status == http.StatusConflict
 }
 
-// doJSON performs one retried request against the coordinator. A retryable
-// status (429/503/5xx) honors Retry-After; other non-2xx statuses are
-// permanent. Success bodies are discarded unless out is non-nil.
-func (w *Worker) doJSON(ctx context.Context, method, path string, query url.Values, body []byte, contentType string, out any) error {
-	return w.doJSONPolicy(ctx, w.cfg.Retry, method, path, query, body, contentType, out)
-}
-
-func (w *Worker) doJSONPolicy(ctx context.Context, policy retry.Policy, method, path string, query url.Values, body []byte, contentType string, out any) error {
+// call performs one retried request against the coordinator under the
+// circuit breaker (the breaker sees the whole retry budget as one
+// observation). A retryable status (429/503/5xx) honors Retry-After; other
+// non-2xx statuses are permanent. read, when non-nil, consumes a 2xx
+// response.
+func (w *Worker) call(ctx context.Context, policy retry.Policy, method, path string, query url.Values, body []byte, contentType string, read func(*http.Response) error) error {
 	u := w.cfg.CoordinatorURL + path
 	if len(query) > 0 {
 		u += "?" + query.Encode()
 	}
 	return w.guard(func() error {
-		return w.doJSONOnce(ctx, policy, method, u, body, contentType, out)
+		return policy.Do(ctx, func(int) error {
+			req, err := http.NewRequestWithContext(ctx, method, u, bytes.NewReader(body))
+			if err != nil {
+				return retry.Permanent(err)
+			}
+			if contentType != "" {
+				req.Header.Set("Content-Type", contentType)
+			}
+			resp, err := w.cfg.Client.Do(req)
+			if err != nil {
+				return err
+			}
+			defer resp.Body.Close()
+			if resp.StatusCode >= 300 {
+				msg, _ := io.ReadAll(io.LimitReader(resp.Body, 1024))
+				serr := &httpStatusError{status: resp.StatusCode, body: string(bytes.TrimSpace(msg))}
+				if !retry.StatusRetryable(resp.StatusCode) {
+					return retry.Permanent(serr)
+				}
+				return retry.After(serr, retry.RetryAfter(resp))
+			}
+			if read == nil {
+				return nil
+			}
+			return read(resp)
+		})
 	})
 }
 
-// doJSONOnce is doJSONPolicy's retried body, separated so the breaker
-// wraps the whole retry budget as one observation.
-func (w *Worker) doJSONOnce(ctx context.Context, policy retry.Policy, method, u string, body []byte, contentType string, out any) error {
-	return policy.Do(ctx, func(int) error {
-		req, err := http.NewRequestWithContext(ctx, method, u, bytes.NewReader(body))
-		if err != nil {
-			return retry.Permanent(err)
+// doJSON is call with the configured retry policy, decoding a JSON answer
+// into out when out is non-nil and the answer has a body.
+func (w *Worker) doJSON(ctx context.Context, method, path string, query url.Values, body []byte, contentType string, out any) error {
+	return w.call(ctx, w.cfg.Retry, method, path, query, body, contentType, func(resp *http.Response) error {
+		if out == nil || resp.StatusCode == http.StatusNoContent {
+			return nil
 		}
-		if contentType != "" {
-			req.Header.Set("Content-Type", contentType)
-		}
-		resp, err := w.cfg.Client.Do(req)
-		if err != nil {
-			return err
-		}
-		defer resp.Body.Close()
-		if resp.StatusCode >= 300 {
-			msg, _ := io.ReadAll(io.LimitReader(resp.Body, 1024))
-			serr := &httpStatusError{status: resp.StatusCode, body: string(bytes.TrimSpace(msg))}
-			if !retry.StatusRetryable(resp.StatusCode) {
-				return retry.Permanent(serr)
-			}
-			return retry.After(serr, retry.RetryAfter(resp))
-		}
-		if out != nil && resp.StatusCode != http.StatusNoContent {
-			if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
-				return err
-			}
-		}
-		return nil
+		return json.NewDecoder(resp.Body).Decode(out)
 	})
 }
 
@@ -561,77 +518,29 @@ func (w *Worker) lease(ctx context.Context) (*LeaseGrant, error) {
 }
 
 func (w *Worker) fetchTrace(ctx context.Context, jobID string) (*trace.Trace, error) {
-	u := w.cfg.CoordinatorURL + "/v1/fleet/jobs/" + url.PathEscape(jobID) + "/trace"
 	var tr *trace.Trace
-	err := w.guard(func() error {
-		return w.cfg.Retry.Do(ctx, func(int) error {
-			req, err := http.NewRequestWithContext(ctx, http.MethodGet, u, nil)
-			if err != nil {
-				return retry.Permanent(err)
-			}
-			resp, err := w.cfg.Client.Do(req)
-			if err != nil {
-				return err
-			}
-			defer resp.Body.Close()
-			if resp.StatusCode != http.StatusOK {
-				msg, _ := io.ReadAll(io.LimitReader(resp.Body, 1024))
-				serr := &httpStatusError{status: resp.StatusCode, body: string(bytes.TrimSpace(msg))}
-				if !retry.StatusRetryable(resp.StatusCode) {
-					return retry.Permanent(serr)
-				}
-				return retry.After(serr, retry.RetryAfter(resp))
-			}
-			t, lerr := trace.Load(resp.Body)
-			if lerr != nil {
-				return lerr
-			}
-			tr = t
-			return nil
-		})
+	err := w.call(ctx, w.cfg.Retry, http.MethodGet, "/v1/fleet/jobs/"+url.PathEscape(jobID)+"/trace", nil, nil, "", func(resp *http.Response) (err error) {
+		tr, err = trace.Load(resp.Body)
+		return err
 	})
 	return tr, err
 }
 
 func (w *Worker) fetchCheckpoint(ctx context.Context, jobID string, token uint64) (*trace.Checkpoint, error) {
-	u := w.cfg.CoordinatorURL + "/v1/fleet/jobs/" + url.PathEscape(jobID) + "/checkpoint?" + url.Values{
-		"worker": {w.cfg.ID},
-		"token":  {strconv.FormatUint(token, 10)},
-	}.Encode()
+	q := url.Values{"worker": {w.cfg.ID}, "token": {strconv.FormatUint(token, 10)}}
 	var ck *trace.Checkpoint
-	err := w.guard(func() error {
-		return w.cfg.Retry.Do(ctx, func(int) error {
-			req, err := http.NewRequestWithContext(ctx, http.MethodGet, u, nil)
-			if err != nil {
-				return retry.Permanent(err)
-			}
-			resp, err := w.cfg.Client.Do(req)
-			if err != nil {
-				return err
-			}
-			defer resp.Body.Close()
-			switch {
-			case resp.StatusCode == http.StatusNoContent:
-				return nil
-			case resp.StatusCode != http.StatusOK:
-				msg, _ := io.ReadAll(io.LimitReader(resp.Body, 1024))
-				serr := &httpStatusError{status: resp.StatusCode, body: string(bytes.TrimSpace(msg))}
-				if !retry.StatusRetryable(resp.StatusCode) {
-					return retry.Permanent(serr)
-				}
-				return retry.After(serr, retry.RetryAfter(resp))
-			}
-			data, rerr := io.ReadAll(io.LimitReader(resp.Body, maxCheckpointBody))
-			if rerr != nil {
-				return rerr
-			}
-			c, derr := trace.DecodeCheckpoint(data)
-			if derr != nil {
-				return retry.Permanent(derr) // corrupt on the wire won't improve
-			}
-			ck = c
+	err := w.call(ctx, w.cfg.Retry, http.MethodGet, "/v1/fleet/jobs/"+url.PathEscape(jobID)+"/checkpoint", q, nil, "", func(resp *http.Response) error {
+		if resp.StatusCode == http.StatusNoContent {
 			return nil
-		})
+		}
+		data, err := io.ReadAll(io.LimitReader(resp.Body, maxCheckpointBody))
+		if err != nil {
+			return err
+		}
+		if ck, err = trace.DecodeCheckpoint(data); err != nil {
+			return retry.Permanent(err) // corrupt on the wire won't improve
+		}
+		return nil
 	})
 	return ck, err
 }
@@ -642,7 +551,7 @@ func (w *Worker) postHeartbeat(ctx context.Context, jobID string, token uint64, 
 	// attempt each, no backoff (the heartbeat loop itself is the retry).
 	p := w.cfg.Retry
 	p.MaxAttempts = 1
-	return w.doJSONPolicy(ctx, p, http.MethodPost, "/v1/fleet/jobs/"+url.PathEscape(jobID)+"/heartbeat", nil, body, "application/json", nil)
+	return w.call(ctx, p, http.MethodPost, "/v1/fleet/jobs/"+url.PathEscape(jobID)+"/heartbeat", nil, body, "application/json", nil)
 }
 
 func (w *Worker) postCheckpoint(ctx context.Context, ck *trace.Checkpoint, token uint64) error {

@@ -185,25 +185,13 @@ func (j *Journal) Writable() bool {
 	return true
 }
 
-// probe attempts a tiny write-sync-remove cycle in the spool directory.
+// probe attempts a tiny durable write, then removes it.
 func (j *Journal) probe() error {
 	if err := faultinject.Fire("journal.append"); err != nil {
 		return err
 	}
 	path := filepath.Join(j.dir, ".probe")
-	f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
-		return err
-	}
-	if _, err := f.Write([]byte("ok")); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
+	if err := replaceFile(path, []byte("ok")); err != nil {
 		return err
 	}
 	return os.Remove(path)
@@ -228,7 +216,7 @@ func (j *Journal) Append(rec Record, tr *trace.Trace) error {
 		Submitted: rec.Submitted, DeadlineMs: deadlineMs(rec.Deadline),
 		Status: StatusPending, Time: rec.Submitted,
 	}
-	if err := j.appendMeta(rec.ID, first); err != nil {
+	if err := j.appendFramed("", j.metaPath(rec.ID), first); err != nil {
 		j.removeFiles(rec.ID)
 		return err
 	}
@@ -242,11 +230,7 @@ func (j *Journal) Append(rec Record, tr *trace.Trace) error {
 // which is the at-least-once side of the write-ahead design (idempotency
 // keys make the rerun invisible to clients).
 func (j *Journal) Mark(id, status, errMsg string, result json.RawMessage) error {
-	if err := faultinject.Fire("journal.mark"); err != nil {
-		j.noteWrite(err)
-		return err
-	}
-	return j.appendMeta(id, Entry{
+	return j.appendFramed("journal.mark", j.metaPath(id), Entry{
 		Status: status, Time: time.Now(), Error: errMsg, Result: result,
 	})
 }
@@ -269,7 +253,10 @@ func (j *Journal) WriteCheckpoint(ck *trace.Checkpoint) error {
 		j.noteWrite(err)
 		return err
 	}
-	err := ck.WriteFile(j.ckptPath(ck.JobID))
+	data, err := ck.Encode()
+	if err == nil {
+		err = replaceFile(j.ckptPath(ck.JobID), data)
+	}
 	j.noteWrite(err)
 	return err
 }
@@ -556,27 +543,26 @@ func (j *Journal) writeTrace(id string, tr *trace.Trace) (err error) {
 	return f.Close()
 }
 
-// appendMeta appends one fsynced CRC-framed entry line to the job's meta
-// log.
-func (j *Journal) appendMeta(id string, e Entry) error {
-	return j.appendMetaFile(j.metaPath(id), e)
-}
-
-// appendMetaFile appends one fsynced CRC-framed entry line to the given
-// meta log (job .meta or stream .smeta).
-func (j *Journal) appendMetaFile(path string, e Entry) (err error) {
+// appendFramed appends v as one fsynced CRC-framed JSON line to the log at
+// path: the append every journal log (job and stream meta, fleet, tenant)
+// shares. A non-empty fault names the fault point fired first. The outcome
+// is noted on the spool's writable flag.
+func (j *Journal) appendFramed(fault, path string, v any) (err error) {
 	defer func() { j.noteWrite(err) }()
+	if fault != "" {
+		if err := faultinject.Fire(fault); err != nil {
+			return err
+		}
+	}
+	payload, err := json.Marshal(v)
+	if err != nil {
+		return err
+	}
 	f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_APPEND, 0o644)
 	if err != nil {
 		return err
 	}
-	b, err := json.Marshal(e)
-	if err != nil {
-		f.Close()
-		return err
-	}
-	b = frameMetaLine(b)
-	if _, err := f.Write(b); err != nil {
+	if _, err := f.Write(frameMetaLine(payload)); err != nil {
 		f.Close()
 		return err
 	}
@@ -585,6 +571,77 @@ func (j *Journal) appendMetaFile(path string, e Entry) (err error) {
 		return err
 	}
 	return f.Close()
+}
+
+// rewriteFramed atomically replaces the log at path with one CRC-framed
+// JSON line per entry (log compaction).
+func rewriteFramed(path string, entries []any) error {
+	var buf bytes.Buffer
+	for _, e := range entries {
+		payload, err := json.Marshal(e)
+		if err != nil {
+			return err
+		}
+		buf.Write(frameMetaLine(payload))
+	}
+	return replaceFile(path, buf.Bytes())
+}
+
+// replaceFile durably replaces path's contents with data: temp file in the
+// same directory, fsync, atomic rename, directory fsync. A crash leaves
+// either the old file or the new one, never a torn mix.
+func replaceFile(path string, data []byte) error {
+	dir := filepath.Dir(path)
+	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".tmp-*")
+	if err != nil {
+		return err
+	}
+	tmpName := tmp.Name()
+	_, err = tmp.Write(data)
+	if err == nil {
+		err = tmp.Sync()
+	}
+	if cerr := tmp.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(tmpName, path)
+	}
+	if err != nil {
+		os.Remove(tmpName)
+		return err
+	}
+	// fsync the directory so the rename itself survives a crash.
+	if d, err := os.Open(dir); err == nil {
+		_ = d.Sync()
+		d.Close()
+	}
+	return nil
+}
+
+// scanFramed reads the log at path and hands each framed line's payload to
+// apply, skipping blank lines. Torn or corrupt lines, and payloads apply
+// rejects, are dropped and counted. A missing log is os.ErrNotExist.
+func scanFramed(path string, apply func(payload []byte) bool) (dropped int, err error) {
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return 0, err
+	}
+	for len(data) > 0 {
+		var raw []byte
+		if nl := bytes.IndexByte(data, '\n'); nl < 0 {
+			raw, data = data, nil
+		} else {
+			raw, data = data[:nl], data[nl+1:]
+		}
+		if len(bytes.TrimSpace(raw)) == 0 {
+			continue
+		}
+		if payload, ok := parseFramedPayload(raw); !ok || !apply(payload) {
+			dropped++
+		}
+	}
+	return dropped, nil
 }
 
 // sync fsyncs f, honoring the injected fsync-latency fault point.

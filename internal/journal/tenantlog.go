@@ -12,15 +12,14 @@
 package journal
 
 import (
-	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
 	"sort"
 	"time"
 
-	"repro/internal/faultinject"
 	"repro/internal/tenant"
 )
 
@@ -50,29 +49,8 @@ func (t *TenantLog) path() string { return filepath.Join(t.j.dir, tenantFile) }
 // writable flag like any other journal write, but the in-memory tuning
 // still applies — durability is best effort for tuning, mandatory only for
 // job acceptance.
-func (t *TenantLog) RecordLimits(name string, lim tenant.Limits) (err error) {
-	if err := faultinject.Fire("journal.tenant"); err != nil {
-		t.j.noteWrite(err)
-		return err
-	}
-	defer func() { t.j.noteWrite(err) }()
-	payload, err := json.Marshal(TenantEntry{Name: name, Limits: lim, Time: time.Now()})
-	if err != nil {
-		return err
-	}
-	f, err := os.OpenFile(t.path(), os.O_WRONLY|os.O_CREATE|os.O_APPEND, 0o644)
-	if err != nil {
-		return err
-	}
-	if _, err := f.Write(frameMetaLine(payload)); err != nil {
-		f.Close()
-		return err
-	}
-	if err := t.j.sync(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
+func (t *TenantLog) RecordLimits(name string, lim tenant.Limits) error {
+	return t.j.appendFramed("journal.tenant", t.path(), TenantEntry{Name: name, Limits: lim, Time: time.Now()})
 }
 
 // RecoverTenants reads the tenant log, folds it into the latest limits per
@@ -81,35 +59,19 @@ func (t *TenantLog) RecordLimits(name string, lim tenant.Limits) (err error) {
 // missing log is an empty map, not an error.
 func (t *TenantLog) RecoverTenants(stats *RecoverStats) (map[string]tenant.Limits, error) {
 	out := map[string]tenant.Limits{}
-	data, err := os.ReadFile(t.path())
-	if os.IsNotExist(err) {
+	dropped, err := scanFramed(t.path(), func(payload []byte) bool {
+		var e TenantEntry
+		if json.Unmarshal(payload, &e) != nil || e.Name == "" {
+			return false
+		}
+		out[e.Name] = e.Limits // last write wins
+		return true
+	})
+	if errors.Is(err, os.ErrNotExist) {
 		return out, nil
 	}
 	if err != nil {
 		return out, fmt.Errorf("journal: tenant log: %w", err)
-	}
-	dropped := 0
-	for len(data) > 0 {
-		var raw []byte
-		if nl := bytes.IndexByte(data, '\n'); nl < 0 {
-			raw, data = data, nil
-		} else {
-			raw, data = data[:nl], data[nl+1:]
-		}
-		if len(bytes.TrimSpace(raw)) == 0 {
-			continue
-		}
-		payload, ok := parseFramedPayload(raw)
-		if !ok {
-			dropped++
-			continue
-		}
-		var e TenantEntry
-		if json.Unmarshal(payload, &e) != nil || e.Name == "" {
-			dropped++
-			continue
-		}
-		out[e.Name] = e.Limits // last write wins
 	}
 	if stats != nil {
 		stats.TruncatedRecords += dropped
@@ -122,38 +84,15 @@ func (t *TenantLog) RecoverTenants(stats *RecoverStats) (map[string]tenant.Limit
 
 // compact atomically rewrites the tenant log to one line per tenant.
 func (t *TenantLog) compact(limits map[string]tenant.Limits) error {
-	var buf bytes.Buffer
 	names := make([]string, 0, len(limits))
 	for name := range limits {
 		names = append(names, name)
 	}
 	sort.Strings(names)
 	now := time.Now()
+	entries := make([]any, 0, len(names))
 	for _, name := range names {
-		payload, err := json.Marshal(TenantEntry{Name: name, Limits: limits[name], Time: now})
-		if err != nil {
-			return err
-		}
-		buf.Write(frameMetaLine(payload))
+		entries = append(entries, TenantEntry{Name: name, Limits: limits[name], Time: now})
 	}
-	tmp, err := os.CreateTemp(t.j.dir, tenantFile+".tmp-*")
-	if err != nil {
-		return err
-	}
-	tmpName := tmp.Name()
-	if _, err := tmp.Write(buf.Bytes()); err != nil {
-		tmp.Close()
-		os.Remove(tmpName)
-		return err
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		os.Remove(tmpName)
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmpName)
-		return err
-	}
-	return os.Rename(tmpName, t.path())
+	return rewriteFramed(t.path(), entries)
 }

@@ -13,6 +13,7 @@ import (
 	"repro/internal/faultinject"
 	"repro/internal/journal"
 	"repro/internal/tools"
+	"repro/internal/trace"
 )
 
 // assertSameFindings requires the daemon's result to carry byte-identical
@@ -296,4 +297,66 @@ func TestCorruptSpoolSurvivesRecovery(t *testing.T) {
 	}
 	assertSameFindings(t, "healthy job", got.Result, want)
 	shutdownOrFail(t, s2)
+}
+
+// TestUnrestorableCheckpointIsReplaced: a recovered job whose checkpoint
+// fails to restore replays from scratch, and the checkpoints that replay
+// cuts must replace the unrestorable one — even though they sit earlier in
+// the trace — so a second crash does not land on it again.
+func TestUnrestorableCheckpointIsReplaced(t *testing.T) {
+	tr := recordTrace(t, 22)
+	want := oneShot(t, tr, "arbalest")
+
+	dir := t.TempDir()
+	jnl, err := journal.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Never started: the job stays pending in the spool.
+	v, err := New(Config{Workers: 1, QueueSize: 8, Journal: jnl}).Submit("arbalest", tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A CRC-clean checkpoint at the trace's end whose state the report sink
+	// refuses (one more replay clock than reports).
+	if err := jnl.WriteCheckpoint(&trace.Checkpoint{
+		JobID: v.ID, Tool: "arbalest", NextEvent: uint64(len(tr.Events)),
+		Events: uint64(len(tr.Events)), Created: time.Now(),
+		State: json.RawMessage(`{"sink":{"reports":[],"seqs":[1]}}`),
+	}); err != nil {
+		t.Fatal(err)
+	}
+
+	jnl2, err := journal.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := New(Config{Workers: 1, QueueSize: 8, Journal: jnl2, CheckpointEvery: 1})
+	if n, err := s.Recover(); err != nil || n != 1 {
+		t.Fatalf("Recover = %d, %v; want 1 job", n, err)
+	}
+	s.Start()
+	defer shutdownOrFail(t, s)
+	got := waitSettled(t, s, v.ID)
+	if got.Status != StatusDone {
+		t.Fatalf("job status %q (err %q), want done", got.Status, got.Error)
+	}
+	assertSameFindings(t, "replayed from scratch", got.Result, want)
+	snap := s.Metrics().Snapshot()
+	if snap.CheckpointErrors < 1 {
+		t.Errorf("CheckpointErrors = %d, want the failed restore counted", snap.CheckpointErrors)
+	}
+
+	// A clean run of the same trace cuts the same checkpoints.
+	clean := New(Config{Workers: 1, QueueSize: 8, Journal: newJournal(t), CheckpointEvery: 1})
+	clean.Start()
+	defer shutdownOrFail(t, clean)
+	cv, err := clean.Submit("arbalest", tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitSettled(t, clean, cv.ID)
+	if w, cw := snap.CheckpointsWritten, clean.Metrics().Snapshot().CheckpointsWritten; w != cw {
+		t.Errorf("recovered job wrote %d checkpoints, a clean run %d: the from-scratch replay's checkpoints were dropped as older than the unrestorable one", w, cw)
+	}
 }

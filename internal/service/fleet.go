@@ -2,11 +2,11 @@
 //
 // With Config.ExternalDispatch set, Start launches no inline workers and
 // the coordinator (internal/dist) becomes the only consumer of the job
-// queue. The methods here give it exactly the pieces runJob owns in the
-// single-process daemon — the running transition, checkpoint custody, and
-// the terminal bookkeeping — so a job finished by a remote worker is
-// indistinguishable (journal marks, metrics, retention, span-free like a
-// recovered job) from one finished inline.
+// queue. The running transition, checkpoint custody, and the terminal
+// bookkeeping live here and nowhere else: runJob records in-process runs
+// through the same methods, so a job finished by a remote worker is
+// indistinguishable (journal marks, metrics, retention) from one finished
+// inline.
 package service
 
 import (
@@ -40,21 +40,19 @@ func (s *Service) DequeueJob(ctx context.Context) (dist.JobSpec, bool) {
 }
 
 // RunJobInline analyzes the job on the calling goroutine through the
-// single-process path (degraded mode: zero live workers).
+// executor (degraded mode: zero live workers).
 func (s *Service) RunJobInline(id string) {
 	s.mu.Lock()
 	j, ok := s.jobs[id]
-	if !ok || j.status == StatusDone || j.status == StatusFailed {
-		s.mu.Unlock()
-		return
-	}
 	s.mu.Unlock()
-	s.runJob(j)
+	if ok {
+		s.runJob(j)
+	}
 }
 
-// MarkJobRunning transitions the job to running for a remote lease holder,
-// journaling the transition. False means the job is gone or already
-// terminal and the lease must not be granted.
+// MarkJobRunning transitions the job to running, journaling the
+// transition. False means the job is gone or already terminal and must not
+// run (for a remote worker: the lease must not be granted).
 func (s *Service) MarkJobRunning(id, worker string) bool {
 	s.mu.Lock()
 	j, ok := s.jobs[id]
@@ -84,11 +82,11 @@ func (s *Service) MarkJobRunning(id, worker string) bool {
 	return true
 }
 
-// StoreRemoteCheckpoint ingests a worker's epoch-barrier checkpoint:
+// StoreCheckpoint takes custody of a job's epoch-barrier checkpoint:
 // monotone per job (stale ones are dropped silently — the analysis moved
-// on) and spooled through the journal so a coordinator restart resumes
-// remote jobs from it.
-func (s *Service) StoreRemoteCheckpoint(ck *trace.Checkpoint) error {
+// on, or an abandoned attempt is racing a watchdog retry) and spooled
+// through the journal so a restart resumes the job from it.
+func (s *Service) StoreCheckpoint(ck *trace.Checkpoint) error {
 	s.mu.Lock()
 	j, ok := s.jobs[ck.JobID]
 	if !ok {
@@ -111,7 +109,7 @@ func (s *Service) StoreRemoteCheckpoint(ck *trace.Checkpoint) error {
 			// coordinator life; only restart durability is degraded.
 			s.metrics.checkpointErrors.Inc()
 			s.metrics.journalError("checkpoint")
-			s.jobLogger(j).Error("remote checkpoint spool failed", "phase", "fleet", "err", err)
+			s.jobLogger(j).Error("checkpoint write failed", "phase", "replay", "err", err)
 		}
 	}
 	s.metrics.checkpointsWritten.Inc()
@@ -119,11 +117,12 @@ func (s *Service) StoreRemoteCheckpoint(ck *trace.Checkpoint) error {
 	return nil
 }
 
-// CompleteRemote records a remote job's terminal state exactly once,
-// mirroring runJob's epilogue: result/error, journal mark, metrics,
-// retention GC, checkpoint removal. A second completion (a zombie's result
-// racing the rescheduled run) fails with an error instead of overwriting.
-func (s *Service) CompleteRemote(id, errMsg string, result json.RawMessage) error {
+// Complete records a job's terminal state exactly once — status, result,
+// span, quota release, metrics, journal mark, retention GC, checkpoint
+// removal — for every run: in-process, remote, or shed before it ran. A
+// second completion (a zombie's result racing the rescheduled run) fails
+// with an error instead of overwriting.
+func (s *Service) Complete(id string, r dist.Result) error {
 	s.mu.Lock()
 	j, ok := s.jobs[id]
 	if !ok {
@@ -135,31 +134,38 @@ func (s *Service) CompleteRemote(id, errMsg string, result json.RawMessage) erro
 		return fmt.Errorf("dist backend: job %s already terminal (%s)", id, j.status)
 	}
 	j.finished = time.Now()
-	if !j.started.IsZero() {
+	j.wall = r.Wall
+	if j.wall == 0 && !j.started.IsZero() {
 		j.wall = j.finished.Sub(j.started)
 	}
-	events := j.events
-	j.tr = nil
-	j.ckpt = nil
+	j.tr = nil   // release the trace's memory; only the summary is kept
+	j.ckpt = nil // terminal: the checkpoint (and its spool file) are obsolete
 	var summary *tools.Summary
-	if errMsg != "" {
+	if r.Error != "" {
 		j.status = StatusFailed
-		j.errMsg = errMsg
+		j.errMsg = r.Error
 	} else {
 		j.status = StatusDone
-		if len(result) > 0 {
+		if len(r.Summary) > 0 {
 			var sum tools.Summary
-			if err := json.Unmarshal(result, &sum); err == nil {
+			if err := json.Unmarshal(r.Summary, &sum); err == nil {
 				summary = &sum
 				j.result = summary
 			} else {
-				s.jobLogger(j).Error("remote result unmarshal failed", "phase", "fleet", "err", err)
+				s.jobLogger(j).Error("result unmarshal failed", "phase", "complete", "err", err)
 			}
 		}
 	}
 	if j.span != nil {
-		if errMsg != "" {
-			j.span.SetError(errMsg)
+		if !r.SummarizeStart.IsZero() {
+			ss := j.span.StartChild("summarize", r.SummarizeStart)
+			ss.EndAt(r.SummarizeStart.Add(r.SummarizeWall))
+			if summary != nil {
+				ss.SetCount("issues", int64(summary.Issues))
+			}
+		}
+		if r.Error != "" {
+			j.span.SetError(r.Error)
 		}
 		j.span.EndAt(j.finished)
 	}
@@ -169,16 +175,16 @@ func (s *Service) CompleteRemote(id, errMsg string, result json.RawMessage) erro
 	s.gcLocked(j.finished)
 	s.mu.Unlock()
 
-	if errMsg != "" {
+	if r.Error != "" {
 		s.metrics.jobsFailed.Inc()
-		s.mark(j, journal.StatusFailed, errMsg, nil)
+		s.mark(j, journal.StatusFailed, r.Error, nil)
 	} else {
 		s.metrics.jobsCompleted.Inc()
-		s.metrics.eventsReplayed.Add(uint64(events))
+		s.metrics.eventsReplayed.Add(r.Events)
 		if summary != nil {
 			s.metrics.recordJobStats(summary.Stats)
 		}
-		s.mark(j, journal.StatusDone, "", result)
+		s.mark(j, journal.StatusDone, "", r.Summary)
 	}
 	if s.cfg.Journal != nil {
 		if rerr := s.cfg.Journal.RemoveCheckpoint(id); rerr != nil {

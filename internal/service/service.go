@@ -52,6 +52,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/dist"
 	"repro/internal/faultinject"
 	"repro/internal/journal"
 	"repro/internal/stream"
@@ -596,7 +597,7 @@ func (s *Service) SubmitTrace(opts SubmitOptions, tr *trace.Trace) (view JobView
 	if opts.Start.IsZero() {
 		opts.Start = time.Now()
 	}
-	if _, err := tools.New(opts.Tool); err != nil {
+	if err := tools.Valid(opts.Tool); err != nil {
 		s.countRejected()
 		return JobView{}, false, err
 	}
@@ -865,36 +866,19 @@ func (s *Service) dequeue(ctx context.Context) (*job, bool) {
 	}
 }
 
-// failShed records a queued job's terminal failure without running it:
-// span, journal mark, quota release, and the per-tenant shed counter. The
-// job's token (if any remains) is consumed as an orphan by a later dequeue.
+// failShed fails a queued job without running it: the queue span closes,
+// the per-tenant shed counter ticks, and Complete does the rest. The job's
+// token (if any remains) is consumed as an orphan by a later dequeue.
 func (s *Service) failShed(j *job, reason, msg string) {
 	s.mu.Lock()
-	j.finished = time.Now()
-	j.status = StatusFailed
-	j.errMsg = msg
-	j.tr = nil
-	j.ckpt = nil
-	if j.span != nil {
-		if qs := j.span.Child("queue"); qs != nil {
-			qs.EndAt(j.finished)
-		}
-		j.span.SetError(msg)
-		j.span.EndAt(j.finished)
+	if qs := j.span.Child("queue"); qs != nil {
+		qs.EndAt(time.Time{})
 	}
-	s.releaseQuotaLocked(j)
-	s.publishTraceLocked(j)
-	s.metrics.tenantShed.With(j.tenant, reason).Inc()
-	s.gcLocked(j.finished)
 	s.mu.Unlock()
-	s.metrics.jobsFailed.Inc()
+	s.metrics.tenantShed.With(j.tenant, reason).Inc()
 	s.jobLogger(j).Warn("job shed before replay", "phase", "shed", "reason", reason, "tenant", j.tenant)
-	s.mark(j, journal.StatusFailed, msg, nil)
-	if s.cfg.Journal != nil {
-		if rerr := s.cfg.Journal.RemoveCheckpoint(j.id); rerr != nil {
-			s.metrics.journalError("remove")
-			s.jobLogger(j).Error("checkpoint remove failed", "phase", "gc", "err", rerr)
-		}
+	if err := s.Complete(j.id, dist.Result{Error: msg}); err != nil {
+		s.jobLogger(j).Error("job completion failed", "phase", "shed", "err", err)
 	}
 }
 
@@ -926,40 +910,25 @@ func (s *Service) mark(j *job, status, errMsg string, result json.RawMessage) {
 // freshest checkpoint.
 var errStalled = errors.New("service: replay stalled: no progress within the stall timeout")
 
-// runJob replays one job's trace through a fresh analyzer and records the
-// outcome on the job, its span tree, and the metrics. An analyzer panic is
+// runJob runs one job through the executor and records it through the same
+// Backend methods a remote worker's run goes through: MarkJobRunning,
+// StoreCheckpoint for each checkpoint, and Complete. An analyzer panic is
 // confined to this job: it is recovered, recorded as the job's failure with
 // a stack fragment, and the worker goes on to its next job. A job carrying
 // a checkpoint (from a previous life of the daemon) resumes from it; with
 // Config.StallTimeout set, a watchdog cancels replays whose heartbeats stop
 // and retries them once.
 func (s *Service) runJob(j *job) {
+	if !s.MarkJobRunning(j.id, "") {
+		return
+	}
 	s.mu.Lock()
-	j.status = StatusRunning
-	j.started = time.Now()
-	if qs := j.span.Child("queue"); qs != nil {
-		qs.EndAt(j.started)
-	}
-	if !j.enqueued.IsZero() {
-		s.metrics.queueWait.ObserveDuration(j.started.Sub(j.enqueued))
-	}
-	tr := j.tr
-	ckpt := j.ckpt
-	hook := s.testHookRunning
+	tr, ckpt := j.tr, j.ckpt
 	s.mu.Unlock()
-	s.mark(j, journal.StatusRunning, "", nil)
-	if hook != nil {
-		hook(j.id)
-	}
 
-	var (
-		replayStart time.Time
-		wall        time.Duration
-		sumStart    time.Time
-		sumDur      time.Duration
-		summary     *tools.Summary
-		rstats      trace.ReplayStats
-	)
+	// res is what this process reports to Complete: the replay wall, the
+	// events replayed from the resume point, and the summarize span.
+	var res dist.Result
 	attempt := func(ck *trace.Checkpoint) (err error) {
 		// Each attempt gets its own replay span, closed in the deferred
 		// epilogue below no matter how the attempt ends — success, failure,
@@ -967,7 +936,12 @@ func (s *Service) runJob(j *job) {
 		// shows one failed replay span per lost attempt instead of silently
 		// dropping them from the tree.
 		attemptStart := time.Now()
-		var rs *telemetry.Span
+		var (
+			rs          *telemetry.Span
+			replayStart time.Time // zero until the attempt reaches the replay
+			wall        time.Duration
+			rstats      trace.ReplayStats
+		)
 		s.mu.Lock()
 		if j.span != nil {
 			rs = j.span.StartChild("replay", attemptStart)
@@ -979,12 +953,14 @@ func (s *Service) runJob(j *job) {
 				s.jobLogger(j).Error("analyzer panicked", "phase", "replay", "panic", fmt.Sprint(r))
 				err = fmt.Errorf("analyzer panicked: %v\n%s", r, stackFragment())
 				// The panic skipped the wall measurement; take it here so the
-				// job view doesn't report zero replay time. A replayStart left
-				// over from an earlier attempt is stale — re-anchor.
-				if replayStart.Before(attemptStart) {
+				// job view doesn't report zero replay time.
+				if replayStart.IsZero() {
 					replayStart = attemptStart
 				}
 				wall = time.Since(replayStart)
+			}
+			if !replayStart.IsZero() {
+				res.Wall = wall
 			}
 			s.mu.Lock()
 			if rs != nil {
@@ -994,15 +970,15 @@ func (s *Service) runJob(j *job) {
 				if err != nil {
 					rs.SetError(err.Error())
 				}
-				if !replayStart.Before(attemptStart) {
+				if !replayStart.IsZero() {
 					// This attempt reached the replay: anchor the span to the
 					// measured interval so its duration equals the wall time
 					// the job view reports, exactly.
 					rs.Start = replayStart
 					rs.EndAt(replayStart.Add(wall))
 				} else {
-					// Failed before the replay began (bad tool, fault
-					// injection): the span covers the attempt itself.
+					// Failed before the replay began (fault injection): the
+					// span covers the attempt itself.
 					rs.EndAt(time.Time{})
 				}
 			}
@@ -1015,44 +991,6 @@ func (s *Service) runJob(j *job) {
 		if err := faultinject.Fire("worker.replay"); err != nil {
 			return err
 		}
-		a, err := tools.New(j.tool)
-		if err != nil {
-			return err
-		}
-		if s.cfg.AnalyzerStats {
-			if sp, ok := a.(tools.StatsProvider); ok {
-				sp.EnableStats()
-			}
-		}
-
-		// Resume from the checkpoint when the analyzer supports it and the
-		// checkpoint matches this job's trace. A checkpoint that fails
-		// validation or restore is discarded and the replay starts from
-		// scratch: a checkpoint is an optimization, never a requirement.
-		var start uint64
-		if ck != nil && ck.Tool == j.tool && ck.NextEvent <= uint64(len(tr.Events)) {
-			if cp, ok := a.(tools.Checkpointer); ok {
-				if rerr := cp.RestoreState(ck.State); rerr != nil {
-					s.metrics.checkpointErrors.Inc()
-					s.jobLogger(j).Error("checkpoint restore failed; replaying from scratch",
-						"phase", "replay", "err", rerr)
-					// The failed restore may have half-applied; start clean.
-					if a, err = tools.New(j.tool); err != nil {
-						return err
-					}
-					if s.cfg.AnalyzerStats {
-						if sp, ok := a.(tools.StatsProvider); ok {
-							sp.EnableStats()
-						}
-					}
-				} else {
-					start = ck.NextEvent
-					s.metrics.checkpointsRestored.Inc()
-					s.jobLogger(j).Info("resuming from checkpoint",
-						"phase", "replay", "resume_event", start, "events", len(tr.Events))
-				}
-			}
-		}
 
 		base := context.Background()
 		cancelTimeout := func() {}
@@ -1063,46 +1001,67 @@ func (s *Service) runJob(j *job) {
 		ctx, cancel := context.WithCancelCause(base)
 		defer cancel(nil)
 
-		opts := trace.DurableOptions{
-			StartEvent: start,
-			Progress:   trace.NewReplayProgress(),
+		job := dist.Job{
+			ID: j.id, Tool: j.tool, Trace: tr, Resume: ck,
+			Stats:  s.cfg.AnalyzerStats,
+			Logger: s.jobLogger(j),
 		}
-		var serializing atomic.Bool
-		if cp, ok := a.(tools.Checkpointer); ok && s.cfg.Journal != nil && s.cfg.CheckpointEvery > 0 {
-			opts.CheckpointEvery = s.cfg.CheckpointEvery
-			opts.Checkpoint = s.checkpointFunc(ctx, j, cp, uint64(len(tr.Events)), &serializing)
+		if s.cfg.Journal != nil && s.cfg.CheckpointEvery > 0 {
+			job.CheckpointEvery = s.cfg.CheckpointEvery
+			job.Checkpoint = func(ck *trace.Checkpoint) error {
+				if err := s.StoreCheckpoint(ck); err != nil {
+					return err
+				}
+				if err := faultinject.Fire("worker.crash"); err != nil {
+					// Simulated hard crash: exit the goroutine without
+					// unwinding, so the journal keeps the job "running" exactly
+					// as SIGKILL would and the next Recover resumes it from the
+					// checkpoint just stored.
+					s.jobLogger(j).Error("fault injection: crashing after checkpoint", "phase", "replay", "err", err)
+					runtime.Goexit()
+				}
+				return nil
+			}
+		}
+		if s.cfg.StallTimeout > 0 {
+			job.Watch = func(replay func() (trace.ReplayStats, error), progress *trace.ReplayProgress, serializing *atomic.Bool) (trace.ReplayStats, error) {
+				return s.watch(cancel, j, progress, serializing, replay)
+			}
+		}
+		run, err := job.Open()
+		if err != nil {
+			return err
+		}
+		if run.RestoreErr != nil {
+			s.metrics.checkpointErrors.Inc()
+			// The discarded checkpoint must not outrank, and so drop, the
+			// earlier ones this replay cuts from scratch.
+			s.mu.Lock()
+			if j.ckpt == ck {
+				j.ckpt = nil
+			}
+			s.mu.Unlock()
+		} else if run.Start > 0 {
+			s.metrics.checkpointsRestored.Inc()
 		}
 
 		replayStart = time.Now()
-		if s.cfg.StallTimeout > 0 {
-			rstats, err = s.replayWithWatchdog(ctx, cancel, j, tr, opts, a, &serializing)
-		} else {
-			rstats, err = tr.ReplayDurable(ctx, opts, a)
-		}
-		wall = time.Since(replayStart)
+		out, err := run.Execute(ctx)
+		replayStart, wall, rstats = out.ReplayStart, out.ReplayWall, out.Stats
 		s.metrics.replaySeconds.ObserveDuration(wall)
 		if err != nil {
 			return err
 		}
-		s.metrics.eventsReplayed.Add(uint64(len(tr.Events)) - start)
-		sumStart = time.Now()
-		summary = tools.Summarize(a)
-		sumDur = time.Since(sumStart)
-		// The summary has captured findings and footprint; lease the shadow
-		// slabs back to the arena for the next job. Clean path only — a
-		// failed or panicked attempt just lets the GC take the analyzer.
-		if rel, ok := a.(tools.Releaser); ok {
-			rel.Release()
-		}
+		res.Summary = out.Result
+		res.Events = uint64(len(tr.Events)) - run.Start
+		res.SummarizeStart, res.SummarizeWall = out.SummarizeStart, out.SummarizeWall
 		return nil
 	}
 
 	err := attempt(ckpt)
 	if errors.Is(err, errStalled) {
 		s.metrics.watchdogRetries.Inc()
-		s.mu.Lock()
-		retryCkpt := j.ckpt // freshest: the stalled attempt may have advanced it
-		s.mu.Unlock()
+		retryCkpt := s.FreshCheckpoint(j.id) // the stalled attempt may have advanced it
 		var resume uint64
 		if retryCkpt != nil {
 			resume = retryCkpt.NextEvent
@@ -1113,60 +1072,11 @@ func (s *Service) runJob(j *job) {
 		time.Sleep(delay)
 		err = attempt(retryCkpt)
 	}
-
-	var resultJSON json.RawMessage
-	if err == nil && summary != nil {
-		if b, merr := json.Marshal(summary); merr == nil {
-			resultJSON = b
-		}
-	}
-
-	s.mu.Lock()
-	j.finished = time.Now()
-	j.wall = wall
-	j.tr = nil   // release the trace's memory; only the summary is kept
-	j.ckpt = nil // terminal: the checkpoint (and its spool file) are obsolete
 	if err != nil {
-		j.status = StatusFailed
-		j.errMsg = err.Error()
-	} else {
-		j.status = StatusDone
-		j.result = summary
+		res.Error = err.Error()
 	}
-	if j.span != nil {
-		if !sumStart.IsZero() {
-			ss := j.span.StartChild("summarize", sumStart)
-			ss.EndAt(sumStart.Add(sumDur))
-			if summary != nil {
-				ss.SetCount("issues", int64(summary.Issues))
-			}
-		}
-		if err != nil {
-			j.span.SetError(err.Error())
-		}
-		j.span.EndAt(j.finished)
-	}
-	s.releaseQuotaLocked(j)
-	s.publishTraceLocked(j)
-	s.metrics.jobSeconds.ObserveDuration(j.finished.Sub(j.submitted))
-	now := j.finished
-	s.gcLocked(now)
-	s.mu.Unlock()
-	if err != nil {
-		s.metrics.jobsFailed.Inc()
-		s.mark(j, journal.StatusFailed, err.Error(), nil)
-	} else {
-		s.metrics.jobsCompleted.Inc()
-		if summary != nil {
-			s.metrics.recordJobStats(summary.Stats)
-		}
-		s.mark(j, journal.StatusDone, "", resultJSON)
-	}
-	if s.cfg.Journal != nil {
-		if rerr := s.cfg.Journal.RemoveCheckpoint(j.id); rerr != nil {
-			s.metrics.journalError("remove")
-			s.jobLogger(j).Error("checkpoint remove failed", "phase", "gc", "err", rerr)
-		}
+	if cerr := s.Complete(j.id, res); cerr != nil {
+		s.jobLogger(j).Error("job completion failed", "phase", "complete", "err", cerr)
 	}
 }
 
@@ -1182,71 +1092,15 @@ func watchdogRetryDelay(stall time.Duration) time.Duration {
 	return time.Duration(rand.Int64N(int64(stall/2) + 1))
 }
 
-// checkpointFunc builds the ReplayDurable checkpoint callback for one job:
-// serialize the analyzer at the epoch boundary, write the frame into the
-// spool, and remember the checkpoint on the job so a watchdog retry
-// resumes from it. Serialization and spool failures are counted and
-// logged but never fail the replay — a checkpoint is an optimization. A
-// canceled context (watchdog, timeout) aborts the replay instead of
-// writing a checkpoint the cancellation has already outdated. serializing
-// is held true while the analyzer state is serialized, so the watchdog
-// does not mistake a large state for a stall.
-func (s *Service) checkpointFunc(ctx context.Context, j *job, cp tools.Checkpointer, events uint64, serializing *atomic.Bool) func(uint64) error {
-	return func(next uint64) error {
-		if cause := context.Cause(ctx); cause != nil {
-			return cause
-		}
-		serializing.Store(true)
-		raw, err := cp.CheckpointState()
-		serializing.Store(false)
-		if err != nil {
-			s.metrics.checkpointErrors.Inc()
-			s.jobLogger(j).Error("checkpoint serialize failed", "phase", "replay", "err", err)
-			return nil
-		}
-		ck := &trace.Checkpoint{
-			JobID:     j.id,
-			Tool:      j.tool,
-			NextEvent: next,
-			Events:    events,
-			Created:   time.Now(),
-			State:     raw,
-		}
-		if err := s.cfg.Journal.WriteCheckpoint(ck); err != nil {
-			s.metrics.checkpointErrors.Inc()
-			s.metrics.journalError("checkpoint")
-			s.jobLogger(j).Error("checkpoint write failed", "phase", "replay", "err", err)
-			return nil
-		}
-		s.metrics.checkpointsWritten.Inc()
-		s.metrics.checkpointBytes.Observe(float64(len(raw)))
-		s.mu.Lock()
-		// Monotone: an abandoned (stalled) attempt racing a watchdog retry
-		// must never regress the freshest checkpoint.
-		if j.ckpt == nil || ck.NextEvent >= j.ckpt.NextEvent {
-			j.ckpt = ck
-		}
-		s.mu.Unlock()
-		if err := faultinject.Fire("worker.crash"); err != nil {
-			// Simulated hard crash: exit the goroutine without unwinding, so
-			// the journal keeps the job "running" exactly as SIGKILL would
-			// and the next Recover resumes it from the checkpoint above.
-			s.jobLogger(j).Error("fault injection: crashing after checkpoint", "phase", "replay", "err", err)
-			runtime.Goexit()
-		}
-		return nil
-	}
-}
-
-// replayWithWatchdog runs the replay on a child goroutine while sampling
-// its progress heartbeats. If no heartbeat lands for Config.StallTimeout
-// (a tick that finds a checkpoint being serialized counts as one) the
-// replay is canceled with errStalled; a replay that then fails to
-// acknowledge the cancellation within a further stall timeout is abandoned
-// (its goroutine parks until the analyzer code returns, if ever) so the
-// worker can move on. A panic on the replay goroutine is re-raised here so
-// runJob's panic confinement sees it unchanged.
-func (s *Service) replayWithWatchdog(ctx context.Context, cancel context.CancelCauseFunc, j *job, tr *trace.Trace, opts trace.DurableOptions, a tools.Analyzer, serializing *atomic.Bool) (trace.ReplayStats, error) {
+// watch runs replay on a child goroutine while sampling its progress
+// heartbeats. If no heartbeat lands for Config.StallTimeout (a tick that
+// finds a checkpoint being serialized counts as one) the replay is
+// canceled with errStalled; a replay that then fails to acknowledge the
+// cancellation within a further stall timeout is abandoned (its goroutine
+// parks until the analyzer code returns, if ever) so the worker can move
+// on. A panic on the replay goroutine is re-raised here so runJob's panic
+// confinement sees it unchanged.
+func (s *Service) watch(cancel context.CancelCauseFunc, j *job, progress *trace.ReplayProgress, serializing *atomic.Bool, replay func() (trace.ReplayStats, error)) (trace.ReplayStats, error) {
 	type result struct {
 		stats    trace.ReplayStats
 		err      error
@@ -1263,7 +1117,7 @@ func (s *Service) replayWithWatchdog(ctx context.Context, cancel context.CancelC
 				res.panicVal = r
 			}
 		}()
-		res.stats, res.err = tr.ReplayDurable(ctx, opts, a)
+		res.stats, res.err = replay()
 	}()
 
 	interval := s.cfg.StallTimeout / 4
@@ -1272,7 +1126,7 @@ func (s *Service) replayWithWatchdog(ctx context.Context, cancel context.CancelC
 	}
 	ticker := time.NewTicker(interval)
 	defer ticker.Stop()
-	lastSum := opts.Progress.Sum()
+	lastSum := progress.Sum()
 	lastBeat := time.Now()
 	for {
 		select {
@@ -1282,7 +1136,7 @@ func (s *Service) replayWithWatchdog(ctx context.Context, cancel context.CancelC
 			}
 			return res.stats, res.err
 		case <-ticker.C:
-			if sum := opts.Progress.Sum(); sum != lastSum || serializing.Load() {
+			if sum := progress.Sum(); sum != lastSum || serializing.Load() {
 				lastSum, lastBeat = sum, time.Now()
 				continue
 			}

@@ -106,13 +106,11 @@ func newSession(h *Hub, id, tool string, a tools.Analyzer) *Session {
 	}
 	s.cp, _ = a.(tools.Checkpointer)
 	s.d.Register(a)
-	if h.cfg.Exclusive {
-		// Feed and recovery both dispatch under s.mu, so callbacks are
-		// mutually excluded and the mutex's release/acquire edges publish
-		// shadow writes between feeds — the single-owner contract holds
-		// even though successive feeds may run on different goroutines.
-		s.d.SetDispatchMode(ompt.DispatchSequential)
-	}
+	// Feed and recovery both dispatch under s.mu, so callbacks are mutually
+	// excluded and the mutex's release/acquire edges publish shadow writes
+	// between feeds — the single-owner contract of sequential dispatch holds
+	// even though successive feeds may run on different goroutines.
+	s.d.SetDispatchMode(ompt.DispatchSequential)
 	return s
 }
 
@@ -549,7 +547,7 @@ func (s *Session) replaySpool(data []byte) error {
 			if err != nil {
 				return err
 			}
-			if _, err := w.Write(trace.StreamHeader()); err == nil {
+			if _, err = w.Write(trace.StreamHeader()); err == nil {
 				err = w.Sync()
 			}
 			w.Close()
@@ -600,7 +598,7 @@ func (s *Session) Finalize() (View, error) {
 // journal state entirely: an aborted stream is not worth recovering.
 // Reports whether this call performed the transition.
 func (s *Session) Abort() bool {
-	if !s.finish(StatusFailed, "aborted by client", nil) {
+	if !s.finish(StatusFailed, "aborted by client") {
 		return false
 	}
 	if s.hub.cfg.Journal != nil {
@@ -615,7 +613,7 @@ func (s *Session) Abort() bool {
 // fail moves the session to failed exactly once, counting corruption and
 // journaling the error.
 func (s *Session) fail(err error) {
-	if !s.finish(StatusFailed, err.Error(), nil) {
+	if !s.finish(StatusFailed, err.Error()) {
 		return
 	}
 	var ce *trace.CorruptionError
@@ -630,7 +628,7 @@ func (s *Session) fail(err error) {
 // finish performs the exactly-once live → terminal transition, waking
 // long-pollers, releasing the spool, and settling hub accounting. Reports
 // whether this call won the transition. Never called with s.mu held.
-func (s *Session) finish(status Status, errMsg string, sum *tools.Summary) bool {
+func (s *Session) finish(status Status, errMsg string) bool {
 	s.mu.Lock()
 	if s.status != StatusLive {
 		s.mu.Unlock()
@@ -638,7 +636,6 @@ func (s *Session) finish(status Status, errMsg string, sum *tools.Summary) bool 
 	}
 	s.status = status
 	s.errMsg = errMsg
-	s.summary = sum
 	s.finished = time.Now()
 	s.endTraceLocked()
 	s.notifyLocked()

@@ -97,12 +97,6 @@ type Config struct {
 	Logger *slog.Logger
 	// AnalyzerStats enables analyzer-level telemetry on capable analyzers.
 	AnalyzerStats bool
-	// Exclusive declares that every session's events arrive through the
-	// hub's serialized Feed path only (the default deployment). Sessions
-	// then run their analyzers in sequential dispatch mode — lock-free
-	// tag-plane shadow updates instead of CAS. Leave false when session
-	// analyzers are shared with concurrent out-of-band dispatchers.
-	Exclusive bool
 	// Traces, when non-nil, receives snapshots of every session's span tree
 	// so stream traces land in the same queryable store as job traces. Nil
 	// disables stream tracing.
@@ -194,14 +188,9 @@ func (h *Hub) Open(tool, traceparent string) (View, error) {
 // write-ahead (Record.Key), so a daemon crash and recovery resumes the SAME
 // trace — chunked uploads, the crash, and the resumed feed read as one tree.
 func (h *Hub) OpenAs(tool, traceparent, tenantName string) (View, error) {
-	a, err := tools.New(tool)
+	a, err := tools.Open(tool, h.cfg.AnalyzerStats, nil)
 	if err != nil {
 		return View{}, err
-	}
-	if h.cfg.AnalyzerStats {
-		if sp, ok := a.(tools.StatsProvider); ok {
-			sp.EnableStats()
-		}
 	}
 	h.mu.Lock()
 	defer h.mu.Unlock()
@@ -248,7 +237,7 @@ func (h *Hub) OpenAs(tool, traceparent, tenantName string) (View, error) {
 			s.releaseQuotaLocked()
 			return View{}, fmt.Errorf("stream: journal: %w", err)
 		}
-		if _, err := w.Write(trace.StreamHeader()); err == nil {
+		if _, err = w.Write(trace.StreamHeader()); err == nil {
 			err = w.Sync()
 		}
 		if err != nil {
@@ -368,7 +357,7 @@ func (h *Hub) janitor(stop <-chan struct{}, done chan<- struct{}) {
 // ("idle", "slow", "budget") in the eviction metrics and the journal. It
 // reports whether this call performed the transition.
 func (h *Hub) Evict(s *Session, reason string) bool {
-	if !s.finish(StatusEvicted, "evicted: "+reason, nil) {
+	if !s.finish(StatusEvicted, "evicted: "+reason) {
 		return false
 	}
 	h.metrics.evicted.With(reason).Inc()
@@ -560,52 +549,34 @@ func (h *Hub) rebuild(rs journal.RecoveredStream) *Session {
 		return s
 	}
 
-	a, err := tools.New(rs.Tool)
-	if err != nil {
+	// Restore the freshest checkpoint when it names the session's tool; a
+	// failed restore leaves a clean analyzer and a full re-feed — a
+	// checkpoint is an optimization, never a requirement.
+	var state json.RawMessage
+	if rs.Checkpoint != nil && rs.Checkpoint.Tool == rs.Tool {
+		state = rs.Checkpoint.State
+	}
+	a, err := tools.Open(rs.Tool, h.cfg.AnalyzerStats, state)
+	if err != nil && !errors.Is(err, tools.ErrRestore) {
 		h.cfg.Logger.Error("recovered session names unknown tool; marking failed",
 			"phase", "recovery", "stream_id", rs.ID, "tool", rs.Tool, "err", err)
 		_ = h.cfg.Journal.MarkStream(rs.ID, journal.StatusFailed, err.Error(), nil)
 		return nil
 	}
-	if h.cfg.AnalyzerStats {
-		if sp, ok := a.(tools.StatsProvider); ok {
-			sp.EnableStats()
-		}
-	}
 	s := newSession(h, rs.ID, rs.Tool, a)
 	s.created = rs.Submitted
 	s.tenant = tenant.Canonical(rs.Tenant)
 	s.restoreTrace(rs.Key)
-
-	// Restore the freshest checkpoint when the analyzer supports it; a
-	// failed restore falls back to a clean analyzer and a full re-feed — a
-	// checkpoint is an optimization, never a requirement.
-	if rs.Checkpoint != nil && rs.Checkpoint.Tool == rs.Tool {
-		if cp, ok := a.(tools.Checkpointer); ok {
-			if rerr := cp.RestoreState(rs.Checkpoint.State); rerr != nil {
-				h.metrics.ckptErrors.Inc()
-				h.sessionLogger(s).Error("stream checkpoint restore failed; re-feeding from scratch",
-					"phase", "recovery", "err", rerr)
-				if a, err = tools.New(rs.Tool); err != nil {
-					return nil
-				}
-				if h.cfg.AnalyzerStats {
-					if sp, ok := a.(tools.StatsProvider); ok {
-						sp.EnableStats()
-					}
-				}
-				s = newSession(h, rs.ID, rs.Tool, a)
-				s.created = rs.Submitted
-				s.tenant = tenant.Canonical(rs.Tenant)
-				s.restoreTrace(rs.Key)
-			} else {
-				s.events = rs.Checkpoint.NextEvent
-				s.lastCkpt = rs.Checkpoint.NextEvent
-				s.resumedFrom = rs.Checkpoint.NextEvent
-				h.sessionLogger(s).Info("resuming stream from checkpoint",
-					"phase", "recovery", "resume_event", s.events)
-			}
-		}
+	if err != nil {
+		h.metrics.ckptErrors.Inc()
+		h.sessionLogger(s).Error("stream checkpoint restore failed; re-feeding from scratch",
+			"phase", "recovery", "err", err)
+	} else if state != nil {
+		s.events = rs.Checkpoint.NextEvent
+		s.lastCkpt = rs.Checkpoint.NextEvent
+		s.resumedFrom = rs.Checkpoint.NextEvent
+		h.sessionLogger(s).Info("resuming stream from checkpoint",
+			"phase", "recovery", "resume_event", s.events)
 	}
 
 	// The recovery work is itself a span on the resumed trace: where the
@@ -618,41 +589,33 @@ func (h *Hub) rebuild(rs journal.RecoveredStream) *Session {
 
 	// Re-feed the spool: events below the restored position are skipped by
 	// sequence number, the rest advance the analyzer exactly as the
-	// original feeds did.
-	if err := s.replaySpool(rs.Bytes); err != nil {
-		var ce *trace.CorruptionError
-		if errors.As(err, &ce) {
-			h.metrics.corruption.Inc()
+	// original feeds did. Then reopen it for the session's next appends.
+	err = s.replaySpool(rs.Bytes)
+	var ce *trace.CorruptionError
+	if errors.As(err, &ce) {
+		h.metrics.corruption.Inc()
+	}
+	if restoreSpan != nil {
+		if err != nil {
+			restoreSpan.SetError(err.Error())
+		} else {
+			restoreSpan.SetCount("refed_event", int64(s.events))
 		}
+		restoreSpan.EndAt(time.Time{})
+	}
+	if err == nil {
+		s.spool, err = h.cfg.Journal.OpenStreamBytes(rs.ID)
+	}
+	if err != nil {
 		h.sessionLogger(s).Error("spool re-feed failed; marking session failed",
 			"phase", "recovery", "err", err)
 		s.status = StatusFailed
 		s.finished = time.Now()
 		s.errMsg = fmt.Sprintf("recovery: %v", err)
-		if restoreSpan != nil {
-			restoreSpan.SetError(err.Error())
-			restoreSpan.EndAt(time.Time{})
-		}
 		s.endTraceLocked()
 		_ = h.cfg.Journal.MarkStream(rs.ID, journal.StatusFailed, s.errMsg, nil)
 		return s
 	}
-	if restoreSpan != nil {
-		restoreSpan.SetCount("refed_event", int64(s.events))
-		restoreSpan.EndAt(time.Time{})
-	}
-	w, err := h.cfg.Journal.OpenStreamBytes(rs.ID)
-	if err != nil {
-		h.sessionLogger(s).Error("spool reopen failed; marking session failed",
-			"phase", "recovery", "err", err)
-		s.status = StatusFailed
-		s.finished = time.Now()
-		s.errMsg = fmt.Sprintf("recovery: %v", err)
-		s.endTraceLocked()
-		_ = h.cfg.Journal.MarkStream(rs.ID, journal.StatusFailed, s.errMsg, nil)
-		return s
-	}
-	s.spool = w
 	// Re-attribute the session to its tenant without enforcement: an
 	// admitted session is never dropped at restart, even over a shrunken
 	// quota — the occupancy simply reports over quota until it drains. The

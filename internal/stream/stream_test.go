@@ -838,3 +838,29 @@ func TestStreamTraceContinuity(t *testing.T) {
 		t.Fatal("session evicted but its trace leaked in the store")
 	}
 }
+
+// TestOpenFailsWhenSpoolHeaderWriteFails: a session whose spool cannot take
+// the framed-format header must be refused, not acknowledged with a spool
+// that recovery could never re-feed. The spool file is pointed at /dev/full,
+// so the open and the meta append succeed and the header write fails.
+func TestOpenFailsWhenSpoolHeaderWriteFails(t *testing.T) {
+	if _, err := os.Stat("/dev/full"); err != nil {
+		t.Skip("no /dev/full on this system")
+	}
+	dir := t.TempDir()
+	jnl, err := journal.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Symlink("/dev/full", filepath.Join(dir, "stream-0.sbytes")); err != nil {
+		t.Fatal(err)
+	}
+	h := NewHub(Config{Registry: telemetry.NewRegistry(), Journal: jnl})
+	defer h.Close()
+	if v, err := h.Open("arbalest", ""); err == nil {
+		t.Fatalf("Open acknowledged session %s with an unwritable spool", v.ID)
+	}
+	if n := h.ActiveCount(); n != 0 {
+		t.Errorf("%d live sessions after a refused open, want 0", n)
+	}
+}

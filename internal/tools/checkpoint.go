@@ -2,6 +2,8 @@ package tools
 
 import (
 	"encoding/json"
+	"errors"
+	"fmt"
 
 	"repro/internal/core"
 	"repro/internal/race"
@@ -19,6 +21,45 @@ type Checkpointer interface {
 	// RestoreState loads state captured by CheckpointState into a freshly
 	// constructed analyzer of the same tool.
 	RestoreState(json.RawMessage) error
+}
+
+// ErrRestore marks the error Open returns when checkpoint state could not
+// be restored; the analyzer returned with it is clean and usable.
+var ErrRestore = errors.New("tools: checkpoint restore failed")
+
+// Open is how every analysis job gets its analyzer: it builds the named
+// tool, enables analyzer-level stats when stats is set, and, when state is
+// non-nil, restores the checkpoint state into it. A restore that fails
+// (corrupt state, or a tool that cannot restore) may have half-applied, so
+// Open falls back to a clean analyzer of the same tool and returns it
+// together with an error wrapping ErrRestore: the caller replays from
+// event 0. Any other error (an unknown tool) comes with a nil analyzer.
+func Open(name string, stats bool, state json.RawMessage) (Analyzer, error) {
+	a, err := open(name, stats)
+	if err != nil || state == nil {
+		return a, err
+	}
+	cp, ok := a.(Checkpointer)
+	if !ok {
+		return a, fmt.Errorf("%w: tool %q does not checkpoint", ErrRestore, name)
+	}
+	if rerr := cp.RestoreState(state); rerr != nil {
+		a, _ = open(name, stats)
+		return a, fmt.Errorf("%w: %v", ErrRestore, rerr)
+	}
+	return a, nil
+}
+
+// open builds one analyzer with stats enabled when asked.
+func open(name string, stats bool) (Analyzer, error) {
+	a, err := New(name)
+	if err != nil {
+		return nil, err
+	}
+	if sp, ok := a.(StatsProvider); ok && stats {
+		sp.EnableStats()
+	}
+	return a, nil
 }
 
 // arbalestFullState composes the component snapshots: the VSM detector and

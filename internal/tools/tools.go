@@ -39,26 +39,32 @@ func Names() []string {
 	return []string{"arbalest", "valgrind", "archer", "asan", "msan"}
 }
 
-// New creates the named tool. Valid names are "arbalest" (VSM detector plus
+// constructors builds each tool New accepts: "arbalest" (VSM detector plus
 // its embedded Archer race detection), "arbalest-vsm" (VSM only), "archer",
 // "valgrind", "asan", and "msan".
-func New(name string) (Analyzer, error) {
-	switch name {
-	case "arbalest":
-		sink := report.NewSink()
-		return NewArbalestFull(sink), nil
-	case "arbalest-vsm":
-		return core.New(core.Options{}), nil
-	case "archer":
-		return race.New(nil), nil
-	case "valgrind":
-		return baselines.NewMemcheck(nil), nil
-	case "asan":
-		return baselines.NewASan(nil), nil
-	case "msan":
-		return baselines.NewMSan(nil), nil
+var constructors = map[string]func() Analyzer{
+	"arbalest":     func() Analyzer { return NewArbalestFull(nil) },
+	"arbalest-vsm": func() Analyzer { return core.New(core.Options{}) },
+	"archer":       func() Analyzer { return race.New(nil) },
+	"valgrind":     func() Analyzer { return baselines.NewMemcheck(nil) },
+	"asan":         func() Analyzer { return baselines.NewASan(nil) },
+	"msan":         func() Analyzer { return baselines.NewMSan(nil) },
+}
+
+// Valid reports whether New accepts name, without building the tool.
+func Valid(name string) error {
+	if _, ok := constructors[name]; !ok {
+		return fmt.Errorf("tools: unknown tool %q (valid: arbalest, arbalest-vsm, archer, valgrind, asan, msan)", name)
 	}
-	return nil, fmt.Errorf("tools: unknown tool %q (valid: arbalest, arbalest-vsm, archer, valgrind, asan, msan)", name)
+	return nil
+}
+
+// New creates the named tool (see Valid for the accepted names).
+func New(name string) (Analyzer, error) {
+	if err := Valid(name); err != nil {
+		return nil, err
+	}
+	return constructors[name](), nil
 }
 
 // ArbalestFull is ARBALEST as evaluated in the paper: the VSM-based mapping

@@ -28,7 +28,6 @@ import (
 	"hash/crc32"
 	"io"
 	"os"
-	"path/filepath"
 	"time"
 )
 
@@ -122,48 +121,8 @@ func DecodeCheckpoint(data []byte) (*Checkpoint, error) {
 	return decodeCheckpoint(bytes.NewReader(data))
 }
 
-// WriteFile durably writes the checkpoint to path: temp file in the same
-// directory, fsync, atomic rename, directory fsync.
-func (ck *Checkpoint) WriteFile(path string) error {
-	encoded, err := ck.Encode()
-	if err != nil {
-		return err
-	}
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".tmp-*")
-	if err != nil {
-		return err
-	}
-	tmpName := tmp.Name()
-	fail := func(err error) error {
-		tmp.Close()
-		os.Remove(tmpName)
-		return err
-	}
-	if _, err := tmp.Write(encoded); err != nil {
-		return fail(err)
-	}
-	if err := tmp.Sync(); err != nil {
-		return fail(err)
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmpName)
-		return err
-	}
-	if err := os.Rename(tmpName, path); err != nil {
-		os.Remove(tmpName)
-		return err
-	}
-	// fsync the directory so the rename itself survives a crash.
-	if d, err := os.Open(dir); err == nil {
-		_ = d.Sync()
-		d.Close()
-	}
-	return nil
-}
-
-// ReadCheckpointFile reads and CRC-verifies a checkpoint written by
-// WriteFile. Corruption anywhere — header, metadata frame, state frame —
+// ReadCheckpointFile reads and CRC-verifies a checkpoint file holding
+// Encode's bytes. Corruption anywhere — header, metadata frame, state frame —
 // is reported as a *CorruptionError with the byte offset; it never panics.
 func ReadCheckpointFile(path string) (*Checkpoint, error) {
 	f, err := os.Open(path)
